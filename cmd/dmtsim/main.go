@@ -135,6 +135,9 @@ func (f cliFlags) validate() (sim.Environment, sim.Design, workload.Spec, error)
 	case f.traceCap < 0:
 		return 0, "", workload.Spec{}, fmt.Errorf("-trace-cap must be >= 0 (got %d; 0 means the default ring)", f.traceCap)
 	}
+	if err := sim.CheckCacheScale(f.scale); err != nil {
+		return 0, "", workload.Spec{}, fmt.Errorf("-scale: %w", err)
+	}
 	env, err := sim.ParseEnvironment(f.envName)
 	if err != nil {
 		return 0, "", workload.Spec{}, err

@@ -25,6 +25,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"negative shards", func(f *cliFlags) { f.shards = -4 }, "-shards must be >= 0"},
 		{"negative ws", func(f *cliFlags) { f.wsMiB = -1 }, "-ws must be >= 0"},
 		{"zero scale", func(f *cliFlags) { f.scale = 0 }, "-scale must be >= 1"},
+		{"scale past L1D sets", func(f *cliFlags) { f.scale = 65 }, "-scale: cache scale 65"},
+		{"non-power-of-two scale", func(f *cliFlags) { f.scale = 24 }, "-scale: cache scale 24"},
 		{"negative walk-trace", func(f *cliFlags) { f.walkTrace = -3 }, "-walk-trace must be >= 0"},
 		{"negative trace-cap", func(f *cliFlags) { f.traceCap = -1 }, "-trace-cap must be >= 0"},
 		{"unknown env", func(f *cliFlags) { f.envName = "bare-metal" }, "unknown environment"},

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"dmt/internal/obs"
+	"dmt/internal/sim"
 	"dmt/internal/store"
 	"dmt/internal/sweep"
 )
@@ -115,8 +116,6 @@ func (f cliFlags) validate() error {
 		return fmt.Errorf("-ops must be >= 0 (got %d)", f.ops)
 	case f.wsMiB < 0:
 		return fmt.Errorf("-ws-mib must be >= 0 (got %d)", f.wsMiB)
-	case f.cacheScale < 0:
-		return fmt.Errorf("-cache-scale must be >= 0 (got %d)", f.cacheScale)
 	case f.shards < 0:
 		return fmt.Errorf("-shards must be >= 0 (got %d)", f.shards)
 	case f.concurrency < 0:
@@ -128,6 +127,9 @@ func (f cliFlags) validate() error {
 		return fmt.Errorf("durations must be >= 0")
 	case f.failThreshold < 0:
 		return fmt.Errorf("-fail-threshold must be >= 0 (got %d)", f.failThreshold)
+	}
+	if err := sim.CheckCacheScale(f.cacheScale); err != nil {
+		return fmt.Errorf("-cache-scale: %w", err)
 	}
 	for _, w := range f.workers {
 		if !strings.HasPrefix(w, "http://") && !strings.HasPrefix(w, "https://") {

@@ -76,6 +76,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative timeout", func(f *cliFlags) { f.cellTimeout = -time.Second }, "durations"},
 		{"negative threshold", func(f *cliFlags) { f.failThreshold = -1 }, "-fail-threshold"},
 		{"bare host worker", func(f *cliFlags) { f.workers = []string{"a:7677"} }, "-workers"},
+		{"negative cache scale", func(f *cliFlags) { f.cacheScale = -1 }, "-cache-scale"},
+		{"cache scale past L1D sets", func(f *cliFlags) { f.cacheScale = 65 }, "-cache-scale: cache scale 65"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

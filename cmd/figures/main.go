@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"dmt/internal/experiments"
+	"dmt/internal/sim"
 	"dmt/internal/workload"
 )
 
@@ -71,6 +72,9 @@ func (f cliFlags) validate() ([]workload.Spec, error) {
 		return nil, fmt.Errorf("-fig must be one of 4, 5, 14, 15, 16, 17 (got %d)", f.fig)
 	case f.table != 0 && !validTables[f.table]:
 		return nil, fmt.Errorf("-table must be one of 1, 5, 6 (got %d)", f.table)
+	}
+	if err := sim.CheckCacheScale(f.scale); err != nil {
+		return nil, fmt.Errorf("-scale: %w", err)
 	}
 	var wls []workload.Spec
 	if f.wlNames != "" {

@@ -39,6 +39,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"negative ws", func(f *cliFlags) { f.wsMiB = -4 }, "-ws must be >= 0"},
 		{"zero scale", func(f *cliFlags) { f.scale = 0 }, "-scale must be >= 1"},
 		{"negative scale", func(f *cliFlags) { f.scale = -2 }, "-scale must be >= 1"},
+		{"scale past L1D sets", func(f *cliFlags) { f.scale = 256 }, "-scale: cache scale 256"},
 		{"negative parallel", func(f *cliFlags) { f.parallel = -1 }, "-parallel must be >= 0"},
 		{"unknown figure", func(f *cliFlags) { f.fig = 99 }, "-fig must be one of"},
 		{"unknown table", func(f *cliFlags) { f.table = 2 }, "-table must be one of"},

@@ -47,6 +47,15 @@ type Config struct {
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * mem.CacheLineBytes) }
 
+// Check reports whether NewCache accepts the geometry: a positive way
+// count and a size that splits into at least one whole set of whole lines.
+func (c Config) Check() error {
+	if c.Ways <= 0 || c.Sets() <= 0 || c.SizeBytes%(c.Ways*mem.CacheLineBytes) != 0 {
+		return fmt.Errorf("cache: bad geometry %+v", c)
+	}
+	return nil
+}
+
 // Cache is one set-associative LRU cache array. Tags and LRU stamps live
 // interleaved in one flat array — (tag, stamp) pairs, set-major — rather
 // than per-set slices or parallel arrays: a probe touches one contiguous
@@ -69,13 +78,10 @@ type Cache struct {
 // NewCache builds a cache array from cfg. Size, way count, and line size
 // must divide evenly; misconfiguration is reported as an error.
 func NewCache(cfg Config) (*Cache, error) {
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache: bad geometry %+v", cfg)
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	n := cfg.Sets()
-	if n <= 0 || cfg.SizeBytes%(cfg.Ways*mem.CacheLineBytes) != 0 {
-		return nil, fmt.Errorf("cache: bad geometry %+v", cfg)
-	}
 	c := &Cache{
 		cfg:   cfg,
 		ways:  cfg.Ways,
@@ -235,6 +241,21 @@ type Hierarchy struct {
 
 	Accesses   uint64
 	MemFetches uint64
+}
+
+// Check reports whether NewHierarchy accepts every level's geometry,
+// without building anything.
+func (h HierarchyConfig) Check() error {
+	if err := h.L1D.Check(); err != nil {
+		return fmt.Errorf("L1D: %w", err)
+	}
+	if err := h.L2.Check(); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	if err := h.LLC.Check(); err != nil {
+		return fmt.Errorf("LLC: %w", err)
+	}
+	return nil
 }
 
 // NewHierarchy builds the memory system.

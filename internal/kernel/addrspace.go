@@ -313,36 +313,41 @@ func (as *AddressSpace) indexOf(v *VMA) int {
 // Touch ensures va is mapped, faulting a page in if necessary. It returns
 // true when a page fault was taken.
 func (as *AddressSpace) Touch(va mem.VAddr, write bool) (bool, error) {
-	if _, _, ok := as.PT.Lookup(va); ok {
-		as.PT.SetAccessed(va, write)
+	if as.PT.SetAccessed(va, write) {
 		return false, nil
 	}
 	v, ok := as.FindVMA(va)
 	if !ok {
 		return false, fmt.Errorf("%w: %#x", ErrBadAddress, uint64(va))
 	}
-	if err := as.faultIn(v, va); err != nil {
+	if err := as.faultIn(v, va, write); err != nil {
 		return false, err
 	}
-	as.PT.SetAccessed(va, write)
-	as.Faults++
 	return true, nil
 }
 
-// faultIn installs a mapping for va, preferring a 2 MiB THP when enabled
-// and the aligned 2 MiB region lies fully inside the VMA.
-func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
+// faultIn services a page fault on the unmapped va inside v: it installs a
+// mapping, preferring a 2 MiB THP when enabled and the aligned 2 MiB region
+// lies fully inside the VMA, and counts the fault. The new leaf carries the
+// A (and, for a write, D) bit the faulting access sets, in the same write
+// that installs it.
+func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr, write bool) error {
+	flags := mem.PTEWritable.WithAccessed(write)
 	if as.cfg.THP {
+		// A THP must not overlay live 4K mappings: a 2 MiB region that was
+		// split and then partially unmapped still holds base pages, and
+		// mapping a huge leaf over them would fail (or worse, shadow them).
 		base := mem.AlignDown(va, mem.PageBytes2M)
-		if base >= v.Start && base+mem.PageBytes2M <= v.End && as.rangeUnmapped(base, mem.PageBytes2M) {
+		if base >= v.Start && base+mem.PageBytes2M <= v.End && as.PT.RegionEmpty(base) {
 			if pa, err := as.Phys.Alloc(9, phys.KindMovable); err == nil { // 2^9 frames = 2 MiB
-				if err := as.PT.Map(base, pa, mem.Size2M, mem.PTEWritable); err != nil {
+				if err := as.PT.Map(base, pa, mem.Size2M, flags); err != nil {
 					as.Phys.Free(pa, 9)
 					return err
 				}
 				v.setPresent(base, mem.Size2M, false)
 				as.rmap.set(pa, base, mem.Size2M)
 				as.THPMapped++
+				as.Faults++
 				return nil
 			}
 			// Fragmented: fall through to a base page.
@@ -353,27 +358,14 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
 	}
-	if err := as.PT.Map(base, pa, mem.Size4K, mem.PTEWritable); err != nil {
+	if err := as.PT.Map(base, pa, mem.Size4K, flags); err != nil {
 		as.Phys.FreeFrame(pa)
 		return err
 	}
 	v.setPresent(base, mem.Size4K, false)
 	as.rmap.set(pa, base, mem.Size4K)
+	as.Faults++
 	return nil
-}
-
-// rangeUnmapped reports whether no leaf is installed anywhere inside
-// [base, base+bytes). A THP must not overlay live 4K mappings: a 2 MiB
-// region that was split and then partially unmapped still holds base
-// pages, and mapping a huge leaf over them would fail (or worse, shadow
-// them).
-func (as *AddressSpace) rangeUnmapped(base mem.VAddr, bytes uint64) bool {
-	for off := uint64(0); off < bytes; off += mem.PageBytes4K {
-		if _, _, ok := as.PT.Lookup(base + mem.VAddr(off)); ok {
-			return false
-		}
-	}
-	return true
 }
 
 func (as *AddressSpace) unmapPage(v *VMA, page mem.VAddr) {
@@ -442,7 +434,9 @@ func (as *AddressSpace) UnmapPage(v *VMA, va mem.VAddr) error {
 // by data-intensive workloads (§7: "they typically allocate memory at the
 // initialization time").
 func (as *AddressSpace) Populate(v *VMA) error {
-	step := mem.VAddr(mem.PageBytes4K)
+	if as.indexOf(v) < 0 {
+		return ErrNoSuchVMA
+	}
 	if as.cfg.THP {
 		// Fault at 2 MiB strides first so THP regions allocate as units.
 		for va := mem.AlignUp(v.Start, mem.PageBytes2M); va+mem.PageBytes2M <= v.End; va += mem.PageBytes2M {
@@ -451,13 +445,16 @@ func (as *AddressSpace) Populate(v *VMA) error {
 			}
 		}
 	}
-	for va := v.Start; va < v.End; va += step {
-		if _, _, ok := as.PT.Lookup(va); ok {
+	for va := v.Start; va < v.End; {
+		if _, size, ok := as.PT.Lookup(va); ok {
+			// Every page under this leaf is mapped: skip to its end.
+			va = mem.AlignDown(va, size.Bytes()) + mem.VAddr(size.Bytes())
 			continue
 		}
-		if _, err := as.Touch(va, true); err != nil {
+		if err := as.faultIn(v, va, true); err != nil {
 			return err
 		}
+		va += mem.PageBytes4K
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
 	"dmt/internal/mem"
@@ -211,5 +212,74 @@ func TestPromoteTHPSkipsResidentPages(t *testing.T) {
 	as.Phys.FreeFrame(foreign) // resident frames are the caller's to free
 	if err := as.Phys.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultWritesAccessedDirtyWithLeaf pins the fault path's A/D fold: the
+// leaf a fault installs already carries the A bit, and the D bit exactly
+// when the access was a write — 4K and THP leaves alike, whether the fault
+// came through Touch or Populate — and Touch on a mapped page still sets
+// the bits the access implies.
+func TestFaultWritesAccessedDirtyWithLeaf(t *testing.T) {
+	as := newAS(t, 8192, Config{THP: true})
+	v, err := as.MMap(0x4000_0000, 4<<20+3*mem.PageBytes4K, VMAHeap, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := func(va mem.VAddr) mem.PTE {
+		t.Helper()
+		pte, ok := as.PT.LeafPTE(va)
+		if !ok {
+			t.Fatalf("%#x not mapped", uint64(va))
+		}
+		return pte
+	}
+	read, tail := v.Start+mem.PageBytes2M, v.End-mem.PageBytes4K
+	if _, err := as.Touch(read, false); err != nil {
+		t.Fatal(err)
+	}
+	if pte := leaf(read); !pte.Huge() || !pte.Accessed() || pte.Dirty() {
+		t.Fatalf("read fault leaf %#x: want huge, A, not D", uint64(pte))
+	}
+	if _, err := as.Touch(read+0x5000, true); err != nil {
+		t.Fatal(err)
+	}
+	if !leaf(read).Dirty() {
+		t.Fatal("write to a mapped THP did not set D")
+	}
+	if err := as.Populate(v); err != nil {
+		t.Fatal(err)
+	}
+	if pte := leaf(v.Start); !pte.Huge() || !pte.Accessed() || !pte.Dirty() {
+		t.Fatalf("populated THP leaf %#x: want huge, A, D", uint64(pte))
+	}
+	if pte := leaf(tail); pte.Huge() || !pte.Accessed() || !pte.Dirty() {
+		t.Fatalf("populated 4K tail leaf %#x: want 4K, A, D", uint64(pte))
+	}
+	if got, want := v.PopulatedPages(), 2+3; got != want {
+		t.Fatalf("%d pages populated, want %d (two THPs and a 3-page tail)", got, want)
+	}
+	if as.Faults != 2+3 {
+		t.Fatalf("Faults = %d, want 5", as.Faults)
+	}
+}
+
+// TestPopulateRejectsUnlistedVMA: Populate faults straight into the VMA it
+// is handed, so a VMA no longer in the list must be refused, not paged.
+func TestPopulateRejectsUnlistedVMA(t *testing.T) {
+	as := newAS(t, 4096, Config{})
+	v, err := as.MMap(0x400000, 16*mem.PageBytes4K, VMAHeap, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MUnmap(v); err != nil {
+		t.Fatal(err)
+	}
+	free := as.Phys.FreeFrames()
+	if err := as.Populate(v); !errors.Is(err, ErrNoSuchVMA) {
+		t.Fatalf("Populate of an unmapped VMA: %v, want ErrNoSuchVMA", err)
+	}
+	if as.Phys.FreeFrames() != free {
+		t.Fatal("Populate of an unmapped VMA allocated frames")
 	}
 }

@@ -246,6 +246,16 @@ type Table struct {
 	alloc  NodeAllocFunc
 	free   NodeFreeFunc
 
+	// leaf caches the level-1 node of the 2 MiB region based at leafVA,
+	// the last one Map or leafSlot descended into, so demand paging a
+	// region page by page descends from the root once (0 = empty). A
+	// level-1 node stays linked under its region until Unmap releases it,
+	// and no huge leaf can be installed over a linked node, so the entry
+	// is exact until Unmap releases any node; that clears it. Node IDs
+	// survive RelocateNode.
+	leafVA mem.VAddr
+	leaf   nodeID
+
 	// Mapped counts live leaf entries per page size.
 	Mapped [3]int
 }
@@ -299,8 +309,8 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 		return fmt.Errorf("pagetable: unaligned %v mapping va=%#x pa=%#x", size, uint64(va), uint64(pa))
 	}
 	leaf := size.LeafLevel()
-	node := t.pool.node(t.root)
-	for level := t.levels; level > leaf; level-- {
+	node, level := t.descentStart(va, leaf)
+	for ; level > leaf; level-- {
 		idx := mem.Index(va, level)
 		child := node.children[idx]
 		if child == 0 {
@@ -315,6 +325,9 @@ func (t *Table) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.PTE
 			node.children[idx] = child
 			node.entries[idx] = mem.MakePTE(t.pool.node(child).Base, 0)
 			node.live++
+		}
+		if level == 2 {
+			t.leafVA, t.leaf = regionOf(va), child
 		}
 		node = t.pool.node(child)
 	}
@@ -346,7 +359,9 @@ func (t *Table) Unmap(va mem.VAddr, size mem.PageSize) error {
 		node = t.pool.node(id)
 	}
 	idx := mem.Index(va, leaf)
-	if !node.entries[idx].Present() {
+	if pte := node.entries[idx]; !pte.Present() || (leaf > 1 && !pte.Huge()) {
+		// Absent, or a pointer to a lower node rather than a huge leaf:
+		// clearing it would orphan that subtree.
 		return ErrNotMapped
 	}
 	node.entries[idx] = 0
@@ -362,6 +377,7 @@ func (t *Table) Unmap(va mem.VAddr, size mem.PageSize) error {
 		parent.live--
 		freedLevel, freedBase := node.Level, node.Base
 		t.pool.release(id)
+		t.leaf = 0
 		if t.free != nil {
 			t.free(freedLevel, freedBase)
 		}
@@ -440,20 +456,32 @@ func (t *Table) NodeForLevel(va mem.VAddr, level int) *Node {
 // Lookup resolves va without recording steps (OS-side helper; also the
 // checker's reference translation, so it must not allocate).
 func (t *Table) Lookup(va mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
-	pool := t.pool
-	node := pool.node(t.root)
-	for level := t.levels; ; level-- {
+	node, idx, ok := t.leafSlot(va)
+	if !ok {
+		return 0, 0, false
+	}
+	size := mem.PageSize(node.Level - 1)
+	return node.entries[idx].Frame() + mem.PAddr(mem.PageOffset(va, size)), size, true
+}
+
+// RegionEmpty reports whether no leaf maps any address of va's 2 MiB
+// region: no huge leaf covers it, and its level-1 node is absent or holds
+// no entry. It is one descent where probing the region page by page would
+// be 512.
+func (t *Table) RegionEmpty(va mem.VAddr) bool {
+	node, level := t.descentStart(va, 1)
+	for ; level > 1; level-- {
 		idx := mem.Index(va, level)
 		pte := node.entries[idx]
 		if !pte.Present() {
-			return 0, 0, false
+			return true
 		}
-		if level == 1 || pte.Huge() {
-			size := mem.PageSize(level - 1)
-			return pte.Frame() + mem.PAddr(mem.PageOffset(va, size)), size, true
+		if pte.Huge() {
+			return false
 		}
-		node = pool.node(node.children[idx])
+		node = t.pool.node(node.children[idx])
 	}
+	return node.live == 0
 }
 
 // SetAccessed sets the A (and optionally D) bit on the leaf PTE mapping va,
@@ -468,9 +496,10 @@ func (t *Table) SetAccessed(va mem.VAddr, write bool) bool {
 	return true
 }
 
+// leafSlot returns the node and index of the leaf PTE mapping va.
 func (t *Table) leafSlot(va mem.VAddr) (*Node, int, bool) {
-	node := t.pool.node(t.root)
-	for level := t.levels; ; level-- {
+	node, level := t.descentStart(va, 1)
+	for ; ; level-- {
 		idx := mem.Index(va, level)
 		pte := node.entries[idx]
 		if !pte.Present() {
@@ -479,9 +508,26 @@ func (t *Table) leafSlot(va mem.VAddr) (*Node, int, bool) {
 		if level == 1 || pte.Huge() {
 			return node, idx, true
 		}
-		node = t.pool.node(node.children[idx])
+		child := node.children[idx]
+		if level == 2 {
+			t.leafVA, t.leaf = regionOf(va), child
+		}
+		node = t.pool.node(child)
 	}
 }
+
+// descentStart returns the node and level at which a descent for va that
+// stops at level stop begins: the cached level-1 node when va lies in its
+// region and the descent goes down to level 1, else the root.
+func (t *Table) descentStart(va mem.VAddr, stop int) (*Node, int) {
+	if stop == 1 && t.leaf != 0 && t.leafVA == regionOf(va) {
+		return t.pool.node(t.leaf), 1
+	}
+	return t.pool.node(t.root), t.levels
+}
+
+// regionOf returns the base of the 2 MiB region holding va.
+func regionOf(va mem.VAddr) mem.VAddr { return mem.AlignDown(va, mem.PageBytes2M) }
 
 // LeafPTE returns the leaf PTE mapping va.
 func (t *Table) LeafPTE(va mem.VAddr) (mem.PTE, bool) {

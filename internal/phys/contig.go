@@ -214,10 +214,9 @@ func (a *Allocator) carveFrame(f uint32) {
 	for order > 0 {
 		half := uint32(1) << (order - 1)
 		if f < head+half {
-			a.insertFree(head+half, order-1)
-			a.blockOrder[head+half] = int8(order - 1)
+			a.pushFree(head+half, order-1)
 		} else {
-			a.insertFree(head, order-1)
+			a.pushFree(head, order-1)
 			head += half
 		}
 		a.blockOrder[head] = -1

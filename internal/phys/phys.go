@@ -121,6 +121,7 @@ func New(base mem.PAddr, frames int) *Allocator {
 	}
 	for i := range a.blockOrder {
 		a.blockOrder[i] = -1
+		a.free[i] = true // kind[i] is already KindFree, the zero Kind
 	}
 	// Seed free lists with maximal aligned blocks.
 	f := uint32(0)
@@ -129,7 +130,7 @@ func New(base mem.PAddr, frames int) *Allocator {
 		for order > 0 && (f&(1<<order-1) != 0 || f+1<<order > a.frames) {
 			order--
 		}
-		a.insertFree(f, order)
+		a.pushFree(f, order)
 		f += 1 << order
 	}
 	a.freeFrames = a.frames
@@ -173,12 +174,14 @@ func (a *Allocator) addrOf(f uint32) mem.PAddr {
 	return a.base + mem.PAddr(uint64(f)<<mem.PageShift4K)
 }
 
-func (a *Allocator) insertFree(f uint32, order int) {
+// pushFree lists the block of 2^order frames headed at f as free. It does
+// not mark the frames: every frame of the block must already be free and
+// KindFree. That holds for both halves of a split free block (Alloc,
+// carveFrame), and freeBlock marks only the frames it frees before
+// coalescing them with buddies that are already marked — so a split or a
+// coalesce costs O(order), not O(2^order) stores.
+func (a *Allocator) pushFree(f uint32, order int) {
 	a.blockOrder[f] = int8(order)
-	for i := f; i < f+1<<order; i++ {
-		a.free[i] = true
-		a.kind[i] = KindFree
-	}
 	stack := append(a.freeStacks[order], f)
 	// Lazy deletion leaves stale entries behind; over a multi-million-event
 	// aging run (carveFrame detaches heads without popping them) the stacks
@@ -249,7 +252,7 @@ func (a *Allocator) Alloc(order int, kind Kind) (mem.PAddr, error) {
 		// Split down to the requested order, freeing upper halves.
 		for cur := o; cur > order; cur-- {
 			half := uint32(1) << (cur - 1)
-			a.insertFree(f+half, cur-1)
+			a.pushFree(f+half, cur-1)
 			a.Stats.Splits++
 		}
 		a.claim(f, uint32(1)<<order, kind)
@@ -290,8 +293,13 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 	a.freeBlock(f, order)
 }
 
-// freeBlock inserts a block and coalesces with its buddy while possible.
+// freeBlock frees an allocated block, marking its frames, and coalesces
+// it with its buddy while possible.
 func (a *Allocator) freeBlock(f uint32, order int) {
+	for i := f; i < f+1<<order; i++ {
+		a.free[i] = true
+		a.kind[i] = KindFree
+	}
 	for order < MaxOrder {
 		buddy := f ^ (1 << order)
 		if buddy >= a.frames || a.blockOrder[buddy] != int8(order) {
@@ -305,7 +313,7 @@ func (a *Allocator) freeBlock(f uint32, order int) {
 		order++
 		a.Stats.Coalesces++
 	}
-	a.insertFree(f, order)
+	a.pushFree(f, order)
 }
 
 // FreeFrame releases a single 4 KiB frame.

@@ -246,7 +246,7 @@ func TestFreeBlockCountsAfterCarveChurn(t *testing.T) {
 	}
 }
 
-// TestFreeStackStaysBounded pins the insertFree compaction: lazy deletion
+// TestFreeStackStaysBounded pins the pushFree compaction: lazy deletion
 // must not let a free stack grow past the maximum possible number of live
 // heads (plus slack) no matter how much churn the allocator sees.
 func TestFreeStackStaysBounded(t *testing.T) {
@@ -269,6 +269,81 @@ func TestFreeStackStaysBounded(t *testing.T) {
 		for order := 0; order <= MaxOrder; order++ {
 			if n, max := len(a.freeStacks[order]), frames>>uint(order)+64; n > max {
 				t.Fatalf("step %d: order-%d stack has %d entries, bound %d", i, order, n, max)
+			}
+		}
+	}
+}
+
+// TestListedFreeBlocksStayMarked pins the invariant the split paths rely
+// on: Alloc and carveFrame list split halves with pushFree, which does not
+// mark frames, so every frame of every listed free block must already be
+// free and KindFree. After every Alloc (all orders), AllocContig (buddy,
+// window and migrating paths), ExpandContigInPlace, Compact and free, both
+// Audit and a direct scan of the live free-stack entries must agree.
+func TestListedFreeBlocksStayMarked(t *testing.T) {
+	const frames = 2048
+	for seed := int64(1); seed <= 4; seed++ {
+		a := New(0, frames)
+		rel := newTrackingRelocator()
+		a.SetRelocator(rel)
+		rng := rand.New(rand.NewSource(seed))
+		type block struct {
+			pa     mem.PAddr
+			frames int
+			order  int // -1 for contiguous runs
+		}
+		var held []block
+		for step := 0; step < 1500; step++ {
+			switch op := rng.Intn(8); {
+			case op <= 1:
+				order := rng.Intn(MaxOrder + 1)
+				if pa, err := a.Alloc(order, Kind(2+rng.Intn(2))); err == nil {
+					held = append(held, block{pa, 1 << order, order})
+				}
+			case op == 2:
+				if pa, err := a.AllocFrame(KindMovable); err == nil {
+					rel.add(pa)
+				}
+			case op == 3:
+				n := 1 + rng.Intn(300)
+				if pa, err := a.AllocContig(n, KindPageTable); err == nil {
+					held = append(held, block{pa, n, -1})
+				}
+			case op == 4 && len(held) > 0:
+				// A grown run is later freed as one range.
+				b := &held[rng.Intn(len(held))]
+				if extra := 1 + rng.Intn(16); b.order < 0 && a.ExpandContigInPlace(b.pa, b.frames, extra) {
+					b.frames += extra
+				}
+			case op == 5:
+				a.Compact()
+			case op == 6 && len(held) > 0:
+				i := rng.Intn(len(held))
+				if b := held[i]; b.order >= 0 {
+					a.Free(b.pa, b.order)
+				} else {
+					a.FreeContig(b.pa, b.frames)
+				}
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+			case len(rel.frames) > 0:
+				a.FreeFrame(rel.removeAt(rng.Intn(len(rel.frames))))
+			}
+			if err := a.Audit(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			for order, stack := range a.freeStacks {
+				for _, f := range stack {
+					if a.blockOrder[f] != int8(order) {
+						continue // lazily deleted entry
+					}
+					for i := f; i < f+1<<order; i++ {
+						if !a.free[i] || a.kind[i] != KindFree {
+							t.Fatalf("seed %d step %d: listed order-%d block at %d has frame %d free=%v kind=%v",
+								seed, step, order, f, i, a.free[i], a.kind[i])
+						}
+					}
+				}
 			}
 		}
 	}

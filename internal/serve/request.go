@@ -58,14 +58,15 @@ func (q *RunRequest) Config(maxOps int) (sim.Config, error) {
 		return sim.Config{}, fmt.Errorf("serve: ops %d exceeds the admission cap %d", q.Ops, maxOps)
 	case q.WSMiB < 0:
 		return sim.Config{}, fmt.Errorf("serve: ws_mib must be >= 0 (got %d)", q.WSMiB)
-	case q.CacheScale < 0:
-		return sim.Config{}, fmt.Errorf("serve: cache_scale must be >= 0 (got %d)", q.CacheScale)
 	case q.Workers < 0:
 		return sim.Config{}, fmt.Errorf("serve: workers must be >= 0 (got %d)", q.Workers)
 	case q.Shards < 0:
 		return sim.Config{}, fmt.Errorf("serve: shards must be >= 0 (got %d)", q.Shards)
 	case q.TimeoutMs < 0:
 		return sim.Config{}, fmt.Errorf("serve: timeout_ms must be >= 0 (got %d)", q.TimeoutMs)
+	}
+	if err := sim.CheckCacheScale(q.CacheScale); err != nil {
+		return sim.Config{}, fmt.Errorf("serve: cache_scale: %w", err)
 	}
 	return sim.Config{
 		Env: env, Design: design, THP: q.THP, Workload: wl,

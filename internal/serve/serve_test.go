@@ -323,6 +323,10 @@ func TestServeValidation(t *testing.T) {
 		{"negative workers", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Workers: -2}},
 		{"negative shards", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Shards: -2}},
 		{"negative timeout", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", TimeoutMs: -5}},
+		{"negative cache scale", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", CacheScale: -1}},
+		// Scales the cache geometry cannot take failed the build: a 500.
+		{"cache scale past L1D sets", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", CacheScale: 128}},
+		{"non-power-of-two cache scale", RunRequest{Env: "virt", Design: "pvdmt", Workload: "GUPS", CacheScale: 24}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

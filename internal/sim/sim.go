@@ -573,6 +573,24 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // scaledTLB divides the Table 3 TLB capacities by scale.
+// CheckCacheScale reports whether a machine can be built with the given
+// Config.CacheScale (0 selects the default): every divided cache capacity
+// must still split into whole sets of whole lines, which with the Table 3
+// geometry holds for powers of two up to 64. The service and the command
+// lines call it to reject a bad scale before any work is scheduled.
+func CheckCacheScale(scale int) error {
+	if scale < 0 {
+		return fmt.Errorf("cache scale must be >= 0 (got %d)", scale)
+	}
+	if scale == 0 {
+		return nil
+	}
+	if err := cache.ScaledConfig(scale).Check(); err != nil {
+		return fmt.Errorf("cache scale %d: %w", scale, err)
+	}
+	return nil
+}
+
 func scaledTLB(scale int) tlb.Config {
 	cfg := tlb.DefaultConfig()
 	cfg.L1Entries = maxInt(cfg.L1Ways, cfg.L1Entries/scale)

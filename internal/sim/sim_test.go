@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"dmt/internal/cache"
 	"dmt/internal/workload"
 )
 
@@ -187,5 +188,28 @@ func TestAblationKnobs(t *testing.T) {
 	frag := run(t, fcfg)
 	if frag.Coverage >= 0.9 {
 		t.Fatalf("fragmentation knob ineffective: coverage %.2f", frag.Coverage)
+	}
+}
+
+// TestCheckCacheScaleMatchesBuild pins the front ends' up-front scale check
+// to the build it stands in for: CheckCacheScale accepts a scale exactly
+// when the scaled hierarchy can be built, which with the Table 3 geometry
+// means a power of two up to 64 (0 selects the default).
+func TestCheckCacheScaleMatchesBuild(t *testing.T) {
+	if err := CheckCacheScale(0); err != nil {
+		t.Fatalf("default scale rejected: %v", err)
+	}
+	if CheckCacheScale(-1) == nil {
+		t.Fatal("negative scale accepted")
+	}
+	for scale := 1; scale <= 300; scale++ {
+		_, buildErr := cache.NewHierarchy(cache.ScaledConfig(scale))
+		checkErr := CheckCacheScale(scale)
+		if (buildErr == nil) != (checkErr == nil) {
+			t.Fatalf("scale %d: build error %v, check error %v", scale, buildErr, checkErr)
+		}
+		if want := scale <= 64 && scale&(scale-1) == 0; (checkErr == nil) != want {
+			t.Fatalf("scale %d: check error %v, want accepted=%v", scale, checkErr, want)
+		}
 	}
 }

@@ -435,7 +435,7 @@ func TestSweepHedgesStraggler(t *testing.T) {
 // TestSweepChaosResumeBitIdentical is the chaos gate of ISSUE 6: three
 // workers, one killed abruptly mid-sweep, then the coordinator itself
 // "crashes" (context cancelled). A fresh coordinator over the same store
-// resumes with the two survivors and must (a) finish with results
+// resumes on a restarted pair of workers and must (a) finish with results
 // bit-identical to an uninterrupted single-worker sweep, (b) serve every
 // pre-crash cell from the store — proven by store.hits — and (c) run zero
 // redundant simulations — proven by engine.steps_run advancing exactly
@@ -535,8 +535,18 @@ func TestSweepChaosResumeBitIdentical(t *testing.T) {
 			preStored, len(cells), len(cells)-1)
 	}
 
-	// Resume: a fresh coordinator (the restart), the two survivors, the
+	// Stop the survivors before the resume is measured. A simulation the
+	// crashed coordinator abandoned can still be running on them, and a
+	// request it sent as it crashed can still be admitted; either adds its
+	// steps to the process-wide engine.steps_run after stepsBefore is read
+	// and looks like redundant work. close drains each pool and joins every
+	// handler, so no chaos-phase step can land after it returns.
+	w1.close()
+	w2.close()
+
+	// Resume: a fresh coordinator and two fresh workers (the restart), the
 	// same store directory.
+	r1, r2 := newTestWorker(), newTestWorker()
 	regStore := obs.NewRegistry()
 	stResume, err := store.Open(storeDir, regStore)
 	if err != nil {
@@ -544,7 +554,7 @@ func TestSweepChaosResumeBitIdentical(t *testing.T) {
 	}
 	regResume := obs.NewRegistry()
 	coordResume, err := New(Config{
-		Workers: []string{w1.url(), w2.url()}, Store: stResume, Registry: regResume,
+		Workers: []string{r1.url(), r2.url()}, Store: stResume, Registry: regResume,
 		HTTPClient: client, BackoffBase: time.Millisecond, MaxAttempts: 6,
 		CellTimeout: time.Minute, DisableLocal: true,
 	})
@@ -586,8 +596,8 @@ func TestSweepChaosResumeBitIdentical(t *testing.T) {
 		}
 	}
 
-	w1.close()
-	w2.close()
+	r1.close()
+	r2.close()
 	drainClient()
 	waitForGoroutines(t, goroutinesBefore)
 }
