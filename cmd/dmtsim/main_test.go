@@ -32,6 +32,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"unknown env", func(f *cliFlags) { f.envName = "bare-metal" }, "unknown environment"},
 		{"unknown design", func(f *cliFlags) { f.design = "radix64" }, "unknown design"},
 		{"unknown workload", func(f *cliFlags) { f.wlName = "STREAM" }, "workload"},
+		{"shards over ops", func(f *cliFlags) { f.ops, f.shards = 100, 1<<20 }, "-shards: 1048576 shards exceed the 100 trace ops"},
+		{"default shards over ops", func(f *cliFlags) { f.ops, f.workers = 3, 4 }, "-shards: 4 shards exceed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

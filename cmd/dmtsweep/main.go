@@ -131,6 +131,9 @@ func (f cliFlags) validate() error {
 	if err := sim.CheckCacheScale(f.cacheScale); err != nil {
 		return fmt.Errorf("-cache-scale: %w", err)
 	}
+	if err := sim.CheckShards(sim.Config{Ops: f.ops, Shards: f.shards}); err != nil {
+		return fmt.Errorf("-shards: %w", err)
+	}
 	for _, w := range f.workers {
 		if !strings.HasPrefix(w, "http://") && !strings.HasPrefix(w, "https://") {
 			return fmt.Errorf("-workers: %q is not an http(s) URL", w)

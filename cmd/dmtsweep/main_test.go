@@ -78,6 +78,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bare host worker", func(f *cliFlags) { f.workers = []string{"a:7677"} }, "-workers"},
 		{"negative cache scale", func(f *cliFlags) { f.cacheScale = -1 }, "-cache-scale"},
 		{"cache scale past L1D sets", func(f *cliFlags) { f.cacheScale = 65 }, "-cache-scale: cache scale 65"},
+		{"shards over ops", func(f *cliFlags) { f.ops, f.shards = 100, 1<<20 }, "-shards: 1048576 shards exceed the 100 trace ops"},
+		{"shards over default ops", func(f *cliFlags) { f.shards = 200_001 }, "-shards: 200001 shards exceed the 200000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

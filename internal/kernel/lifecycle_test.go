@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"dmt/internal/mem"
@@ -281,5 +282,34 @@ func TestPopulateRejectsUnlistedVMA(t *testing.T) {
 	}
 	if as.Phys.FreeFrames() != free {
 		t.Fatal("Populate of an unmapped VMA allocated frames")
+	}
+}
+
+// TestAddressSpaceFootprintTracksContents pins that a process's bookkeeping
+// costs what it holds: booting an address space and demand-populating a
+// 2 MiB heap (a handful of page-table nodes, 512 reverse-map entries) on a
+// 128 MiB machine must not allocate storage sized by the machine's highest
+// frame number or by a whole slab arena.
+func TestAddressSpaceFootprintTracksContents(t *testing.T) {
+	const budget = 256 << 10
+	machine := phys.New(0, 128<<20/mem.PageBytes4K)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	as, err := NewAddressSpace(machine, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := as.MMap(1<<30, 2<<20, VMAHeap, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Populate(v); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("address space with a 2 MiB heap (%d page-table nodes) allocated %d KiB, budget %d KiB",
+			as.Pool.NodeCount(), got>>10, budget>>10)
 	}
 }

@@ -1,7 +1,5 @@
 package pagetable
 
-import "dmt/internal/mem"
-
 // Clone deep-copies the table into a fresh Pool, preserving every node's
 // physical placement (clones translate identically, PTE addresses included)
 // while sharing no arena or index storage with the original. Because nodes
@@ -23,30 +21,21 @@ func (t *Table) Clone(alloc NodeAllocFunc, free NodeFreeFunc) *Table {
 	}
 }
 
-// clone copies the pool: slab contents, freelist, and both frame indexes.
-// nodeIDs are arena-relative, so they remain valid verbatim in the copy;
-// released slots are zeroed at release time, so copying them leaks nothing.
+// clone copies the pool: slab contents, freelist and frame index. The
+// slabs are copied into one backing allocation. nodeIDs are arena-relative,
+// so they remain valid verbatim in the copy; released slots are zeroed at
+// release time, so copying them leaks nothing.
 func (p *Pool) clone() *Pool {
-	c := &Pool{used: p.used, count: p.count}
-	c.slabs = make([][]Node, len(p.slabs))
+	c := &Pool{used: p.used, index: p.index.Clone()}
+	backing := make([][slabNodes]Node, len(p.slabs))
+	c.slabs = make([]*[slabNodes]Node, len(p.slabs))
 	for i, s := range p.slabs {
-		ns := make([]Node, slabNodes)
-		copy(ns, s)
-		c.slabs[i] = ns
+		backing[i] = *s
+		c.slabs[i] = &backing[i]
 	}
 	if len(p.free) > 0 {
 		c.free = make([]nodeID, len(p.free))
 		copy(c.free, p.free)
-	}
-	if len(p.dense) > 0 {
-		c.dense = make([]nodeID, len(p.dense))
-		copy(c.dense, p.dense)
-	}
-	if len(p.sparse) > 0 {
-		c.sparse = make(map[mem.PAddr]nodeID, len(p.sparse))
-		for k, v := range p.sparse {
-			c.sparse[k] = v
-		}
 	}
 	return c
 }

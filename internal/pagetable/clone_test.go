@@ -163,3 +163,90 @@ func TestCloneAfterChurnCopiesFreelist(t *testing.T) {
 		t.Fatal("parent's refill mapping leaked into the clone")
 	}
 }
+
+// TestCloneSharesNoStorage checks the storage itself rather than a few
+// walks: no slab of the clone is a slab of its source, and once both sides
+// release shared nodes and place new ones — in the same frame-index chunks
+// as the shared nodes and above the index's map fallback — each side's tree
+// and frame index agree with each other and with that side's history only.
+func TestCloneSharesNoStorage(t *testing.T) {
+	spread := func(base mem.PAddr) NodeAllocFunc {
+		low, high := BumpAlloc(base), BumpAlloc(1<<40+base)
+		n := 0
+		return func(level int, va mem.VAddr) (mem.PAddr, error) {
+			if n++; n%3 == 0 {
+				return high(level, va)
+			}
+			return low(level, va)
+		}
+	}
+	region := func(i int) mem.VAddr { return mem.VAddr(0x7f00_0000_0000 + uint64(i)<<21) }
+	mapRange := func(tbl *Table, from, to int) {
+		for i := from; i < to; i++ {
+			if err := tbl.Map(region(i), mem.PAddr(i)<<12, mem.Size4K, mem.PTEWritable); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	unmapRange := func(tbl *Table, from, to int) {
+		for i := from; i < to; i++ {
+			if err := tbl.Unmap(region(i), mem.Size4K); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	parent, err := New(NewPool(), mem.Levels4, spread(0x100000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapRange(parent, 0, 40)
+	shared := make([]mem.PAddr, 40) // level-1 node base of each shared region
+	for i := range shared {
+		shared[i] = parent.NodeForLevel(region(i), 1).Base
+	}
+	clone := parent.Clone(spread(0x180000), nil)
+
+	parentSlabs := make(map[*[slabNodes]Node]bool)
+	for _, s := range parent.pool.slabs {
+		parentSlabs[s] = true
+	}
+	for i, s := range clone.pool.slabs {
+		if parentSlabs[s] {
+			t.Fatalf("clone slab %d is the parent's slab", i)
+		}
+	}
+
+	unmapRange(clone, 0, 20)
+	unmapRange(parent, 20, 40)
+	mapRange(clone, 40, 80)
+	mapRange(parent, 80, 120)
+
+	check := func(tbl *Table, side string, mapped func(i int) bool) {
+		t.Helper()
+		l1 := 0
+		for i := 0; i < 120; i++ {
+			n := tbl.NodeForLevel(region(i), 1)
+			if (n != nil) != mapped(i) {
+				t.Fatalf("%s: region %d has level-1 node %v, want mapped=%v", side, i, n != nil, mapped(i))
+			}
+			if n != nil {
+				l1++
+				if got, ok := tbl.Pool().NodeAt(n.Base); !ok || got != n {
+					t.Fatalf("%s: frame index disagrees with the tree at %#x", side, uint64(n.Base))
+				}
+			}
+			if i < len(shared) {
+				if _, ok := tbl.Pool().NodeAt(shared[i]); ok != mapped(i) {
+					t.Fatalf("%s: shared node of region %d indexed=%v, want %v", side, i, ok, mapped(i))
+				}
+			}
+		}
+		// Root, level-3 and level-2 nodes are shared by every region.
+		if got := tbl.Pool().NodeCount(); got != 3+l1 {
+			t.Fatalf("%s: NodeCount = %d, tree holds %d", side, got, 3+l1)
+		}
+	}
+	check(parent, "parent", func(i int) bool { return i < 20 || i >= 80 })
+	check(clone, "clone", func(i int) bool { return i >= 20 && i < 80 })
+}

@@ -43,8 +43,8 @@ type NodeFreeFunc func(level int, pa mem.PAddr)
 type nodeID int32
 
 const (
-	slabShift = 8
-	slabNodes = 1 << slabShift // nodes per slab (~1.6 MiB of arena each)
+	slabShift = 4
+	slabNodes = 1 << slabShift // nodes per slab (~99 KiB of arena each)
 	slabMask  = slabNodes - 1
 )
 
@@ -71,32 +71,22 @@ func (n *Node) EntryAddr(idx int) mem.PAddr {
 // components (the DMT fetcher) that compute PTE locations arithmetically
 // rather than walking.
 //
-// Storage is arena-backed: nodes live in fixed-size contiguous slabs and are
+// Storage is arena-backed: nodes live in small fixed-size slabs and are
 // addressed by nodeID, so node creation is a slot bump (no per-node heap
-// allocation), a walk descends by index into memory the previous level's
-// fetch just pulled near, and Clone is a flat copy of the slabs. Slab
-// backing arrays are append-only and never reallocate, so *Node pointers
-// handed out (NodeAt, NodeForLevel) stay valid for the Pool's lifetime.
-// Released slots are zeroed and recycled through a freelist, bounding arena
-// growth under map/unmap churn.
+// allocation), the arena grows with the nodes the table holds, and Clone is
+// a flat copy of the slabs. Slabs are never moved or resized, so *Node
+// pointers handed out (NodeAt, NodeForLevel) stay valid for the Pool's
+// lifetime. Released slots are zeroed and recycled through a freelist,
+// bounding arena growth under map/unmap churn.
 //
-// The frame index is a slice rather than a map: NodeAt sits on the walk hot
-// path (every DMT fetch reads a PTE through it). Frames beyond denseFrames
-// (simulated physical memory is far smaller) fall back to a map so arbitrary
-// addresses — property tests, sentinel placements — stay cheap instead of
-// forcing a multi-terabyte slice.
+// The frame index is a chunked mem.FrameIndex rather than a map: NodeAt
+// sits on the walk hot path (every DMT fetch reads a PTE through it).
 type Pool struct {
-	slabs  [][]Node // fixed-size slabs; backing arrays never reallocate
-	used   int      // slots ever handed out (arena high-water mark)
-	free   []nodeID // recycled slots, zeroed on release
-	dense  []nodeID // indexed by frame number (base PA >> 12); 0 = none
-	sparse map[mem.PAddr]nodeID
-	count  int
+	slabs []*[slabNodes]Node // fixed-size slabs, never moved
+	used  int                // slots ever handed out (arena high-water mark)
+	free  []nodeID           // recycled slots, zeroed on release
+	index mem.FrameIndex[nodeID]
 }
-
-// denseFrames bounds the frame-indexed slice: 1<<22 frames covers 16 GiB of
-// simulated physical memory, beyond anything the experiments configure.
-const denseFrames = 1 << 22
 
 // NewPool creates an empty node pool.
 func NewPool() *Pool { return &Pool{} }
@@ -118,7 +108,7 @@ func (p *Pool) allocSlot() nodeID {
 		return id
 	}
 	if p.used>>slabShift == len(p.slabs) {
-		p.slabs = append(p.slabs, make([]Node, slabNodes))
+		p.slabs = append(p.slabs, new([slabNodes]Node))
 	}
 	p.used++
 	return nodeID(p.used)
@@ -143,63 +133,18 @@ func (p *Pool) NodeAt(pa mem.PAddr) (*Node, bool) {
 
 // idAt is NodeAt at the nodeID level.
 func (p *Pool) idAt(pa mem.PAddr) (nodeID, bool) {
-	f := uint64(pa) >> mem.PageShift4K
-	if f < uint64(len(p.dense)) {
-		if id := p.dense[f]; id != 0 {
-			return id, true
-		}
-		return 0, false
-	}
-	if f < denseFrames || p.sparse == nil {
-		return 0, false
-	}
-	id, ok := p.sparse[pa&^mem.PAddr(mem.PageBytes4K-1)]
-	return id, ok
+	id := p.index.Get(uint64(pa) >> mem.PageShift4K)
+	return id, id != 0
 }
 
 func (p *Pool) put(base mem.PAddr, id nodeID) {
-	f := uint64(base) >> mem.PageShift4K
-	if f < denseFrames {
-		if f >= uint64(len(p.dense)) {
-			if f >= uint64(cap(p.dense)) {
-				// Amortized doubling: frames arrive mostly ascending, and
-				// growing by exactly one would copy the slice per node.
-				newCap := 2 * (f + 1)
-				if newCap > denseFrames {
-					newCap = denseFrames
-				}
-				grown := make([]nodeID, f+1, newCap)
-				copy(grown, p.dense)
-				p.dense = grown
-			} else {
-				p.dense = p.dense[:f+1]
-			}
-		}
-		p.dense[f] = id
-	} else {
-		if p.sparse == nil {
-			p.sparse = make(map[mem.PAddr]nodeID)
-		}
-		p.sparse[base] = id
-	}
-	p.count++
+	p.index.Set(uint64(base)>>mem.PageShift4K, id)
 }
 
 // unindex drops the frame-index entry for base without touching the node's
 // arena slot — the index half of a release, and all a relocation needs.
 func (p *Pool) unindex(base mem.PAddr) {
-	f := uint64(base) >> mem.PageShift4K
-	if f < uint64(len(p.dense)) {
-		if p.dense[f] != 0 {
-			p.dense[f] = 0
-			p.count--
-		}
-		return
-	}
-	if _, ok := p.sparse[base]; ok {
-		delete(p.sparse, base)
-		p.count--
-	}
+	p.index.Set(uint64(base)>>mem.PageShift4K, 0)
 }
 
 // ReadPTE reads the PTE word stored at physical address pa, which must lie
@@ -207,32 +152,27 @@ func (p *Pool) unindex(base mem.PAddr) {
 // node covers pa — a miss models the machine consuming arbitrary memory as
 // a PTE, which the isolation checks of §4.5.2 are designed to prevent.
 func (p *Pool) ReadPTE(pa mem.PAddr) (mem.PTE, bool) {
-	n, ok := p.NodeAt(pa)
+	id, ok := p.idAt(pa)
 	if !ok {
 		return 0, false
 	}
-	idx := int(pa-n.Base) / mem.PTEBytes
-	return n.entries[idx], true
+	// The node is based at pa's frame, so the offset needs no n.Base load.
+	return p.node(id).entries[pa%mem.PageBytes4K/mem.PTEBytes], true
 }
 
 // NodeCount returns the number of live page-table nodes (×4 KiB gives the
 // page-table memory footprint reported in §6.3).
-func (p *Pool) NodeCount() int { return p.count }
+func (p *Pool) NodeCount() int { return p.index.Len() }
 
 // CountNodes returns how many live nodes satisfy pred (e.g. how many are
 // placed inside TEAs, for the §6.3 memory-overhead accounting).
 func (p *Pool) CountNodes(pred func(*Node) bool) int {
 	n := 0
-	for _, id := range p.dense {
-		if id != 0 && pred(p.node(id)) {
-			n++
-		}
-	}
-	for _, id := range p.sparse {
+	p.index.Range(func(_ uint64, id nodeID) {
 		if pred(p.node(id)) {
 			n++
 		}
-	}
+	})
 	return n
 }
 

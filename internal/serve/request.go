@@ -68,12 +68,16 @@ func (q *RunRequest) Config(maxOps int) (sim.Config, error) {
 	if err := sim.CheckCacheScale(q.CacheScale); err != nil {
 		return sim.Config{}, fmt.Errorf("serve: cache_scale: %w", err)
 	}
-	return sim.Config{
+	cfg := sim.Config{
 		Env: env, Design: design, THP: q.THP, Workload: wl,
 		WSBytes: uint64(q.WSMiB) << 20, Ops: q.Ops, Seed: q.Seed,
 		CacheScale: q.CacheScale, Workers: q.Workers, Shards: q.Shards,
 		Verify: q.Verify,
-	}, nil
+	}
+	if err := sim.CheckShards(cfg); err != nil {
+		return sim.Config{}, fmt.Errorf("serve: shards: %w", err)
+	}
+	return cfg, nil
 }
 
 // jobKey is the request-coalescing key: the result-determining fields of a

@@ -327,6 +327,10 @@ func TestServeValidation(t *testing.T) {
 		// Scales the cache geometry cannot take failed the build: a 500.
 		{"cache scale past L1D sets", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", CacheScale: 128}},
 		{"non-power-of-two cache scale", RunRequest{Env: "virt", Design: "pvdmt", Workload: "GUPS", CacheScale: 24}},
+		// More shards than ops was admitted and built one clone per shard.
+		{"shards over ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Ops: 100, Shards: 1 << 20}},
+		{"shards over default ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Shards: 200_001}},
+		{"workers over ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Ops: 100, Workers: 101}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

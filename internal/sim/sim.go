@@ -572,7 +572,19 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// scaledTLB divides the Table 3 TLB capacities by scale.
+// CheckShards reports whether cfg's trace can be split into its shards,
+// both counted after defaults (Ops 0 is the default trace, Shards 0 follows
+// Workers): every shard clones a whole machine whatever its length, so more
+// shards than trace ops buy clones that simulate nothing. The service and
+// the command lines call it to reject such a run before any work is
+// scheduled.
+func CheckShards(cfg Config) error {
+	if n := cfg.withDefaults(); n.Shards > n.Ops {
+		return fmt.Errorf("%d shards exceed the %d trace ops", n.Shards, n.Ops)
+	}
+	return nil
+}
+
 // CheckCacheScale reports whether a machine can be built with the given
 // Config.CacheScale (0 selects the default): every divided cache capacity
 // must still split into whole sets of whole lines, which with the Table 3
@@ -591,6 +603,7 @@ func CheckCacheScale(scale int) error {
 	return nil
 }
 
+// scaledTLB divides the Table 3 TLB capacities by scale.
 func scaledTLB(scale int) tlb.Config {
 	cfg := tlb.DefaultConfig()
 	cfg.L1Entries = maxInt(cfg.L1Ways, cfg.L1Entries/scale)

@@ -213,3 +213,26 @@ func TestCheckCacheScaleMatchesBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckShardsBoundary pins where CheckShards draws the line: a shard per
+// trace op is the most it admits, counting both after defaults.
+func TestCheckShardsBoundary(t *testing.T) {
+	cases := []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Ops: 100, Shards: 100}, true},
+		{Config{Ops: 100, Shards: 101}, false},
+		{Config{Shards: 200_000}, true},
+		{Config{Shards: 200_001}, false},
+		{Config{Ops: 8, Workers: 8}, true},
+		{Config{Ops: 3, Workers: 4}, false},
+		{Config{Ops: 3, Workers: 4, Shards: 2}, true},
+	}
+	for _, c := range cases {
+		if err := CheckShards(c.cfg); (err == nil) != c.ok {
+			t.Errorf("CheckShards(ops=%d shards=%d workers=%d) = %v, want accepted=%v",
+				c.cfg.Ops, c.cfg.Shards, c.cfg.Workers, err, c.ok)
+		}
+	}
+}
