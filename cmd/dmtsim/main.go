@@ -138,6 +138,9 @@ func (f cliFlags) validate() (sim.Environment, sim.Design, workload.Spec, error)
 	if err := sim.CheckCacheScale(f.scale); err != nil {
 		return 0, "", workload.Spec{}, fmt.Errorf("-scale: %w", err)
 	}
+	if err := sim.CheckWS(f.wsMiB); err != nil {
+		return 0, "", workload.Spec{}, fmt.Errorf("-ws: %w", err)
+	}
 	if err := sim.CheckShards(sim.Config{Ops: f.ops, Shards: f.shards, Workers: f.workers}); err != nil {
 		return 0, "", workload.Spec{}, fmt.Errorf("-shards: %w", err)
 	}

@@ -34,6 +34,8 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{"unknown workload", func(f *cliFlags) { f.wlName = "STREAM" }, "workload"},
 		{"shards over ops", func(f *cliFlags) { f.ops, f.shards = 100, 1<<20 }, "-shards: 1048576 shards exceed the 100 trace ops"},
 		{"default shards over ops", func(f *cliFlags) { f.ops, f.workers = 3, 4 }, "-shards: 4 shards exceed"},
+		{"ws over cap", func(f *cliFlags) { f.wsMiB = 65536 }, "-ws: working set 65536 MiB outside [0, 16384]"},
+		{"ws bytes wrap to zero", func(f *cliFlags) { f.wsMiB = 1 << 44 }, "-ws: working set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -131,6 +131,9 @@ func (f cliFlags) validate() error {
 	if err := sim.CheckCacheScale(f.cacheScale); err != nil {
 		return fmt.Errorf("-cache-scale: %w", err)
 	}
+	if err := sim.CheckWS(f.wsMiB); err != nil {
+		return fmt.Errorf("-ws-mib: %w", err)
+	}
 	if err := sim.CheckShards(sim.Config{Ops: f.ops, Shards: f.shards}); err != nil {
 		return fmt.Errorf("-shards: %w", err)
 	}

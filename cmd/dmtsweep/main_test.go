@@ -80,6 +80,8 @@ func TestFlagValidation(t *testing.T) {
 		{"cache scale past L1D sets", func(f *cliFlags) { f.cacheScale = 65 }, "-cache-scale: cache scale 65"},
 		{"shards over ops", func(f *cliFlags) { f.ops, f.shards = 100, 1<<20 }, "-shards: 1048576 shards exceed the 100 trace ops"},
 		{"shards over default ops", func(f *cliFlags) { f.shards = 200_001 }, "-shards: 200001 shards exceed the 200000"},
+		{"ws over cap", func(f *cliFlags) { f.wsMiB = 65536 }, "-ws-mib: working set 65536 MiB outside [0, 16384]"},
+		{"ws bytes wrap to zero", func(f *cliFlags) { f.wsMiB = 1 << 44 }, "-ws-mib: working set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

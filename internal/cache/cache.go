@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dmt/internal/mem"
 )
@@ -47,29 +48,47 @@ type Config struct {
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * mem.CacheLineBytes) }
 
-// Check reports whether NewCache accepts the geometry: a positive way
-// count and a size that splits into at least one whole set of whole lines.
+// maxWays bounds the associativity: a set's recency order is one word of
+// 4-bit way numbers.
+const maxWays = 16
+
+// Check reports whether NewCache accepts the geometry: 1 to maxWays ways
+// and a size that splits into at least one whole set of whole lines.
 func (c Config) Check() error {
-	if c.Ways <= 0 || c.Sets() <= 0 || c.SizeBytes%(c.Ways*mem.CacheLineBytes) != 0 {
+	if c.Ways <= 0 || c.Ways > maxWays || c.Sets() <= 0 || c.SizeBytes%(c.Ways*mem.CacheLineBytes) != 0 {
 		return fmt.Errorf("cache: bad geometry %+v", c)
 	}
 	return nil
 }
 
-// Cache is one set-associative LRU cache array. Tags and LRU stamps live
-// interleaved in one flat array — (tag, stamp) pairs, set-major — rather
-// than per-set slices or parallel arrays: a probe touches one contiguous
-// span per set instead of chasing pointers or straddling a tags array and
-// a stamps array, which matters because every simulated memory access
-// walks these arrays several times and the larger arrays (the LLC's) miss
-// the host's own caches.
+// Set layout in ents: two words of per-way 1-byte tag fingerprints (ways
+// 0–7, then 8–15; 0 = invalid), one recency-order word, then the ways'
+// full tags.
+const (
+	ordWord  = 2
+	hdrWords = 3
+	lanes    = 0x0101010101010101 // one 1 per fingerprint byte
+	nibbles  = 0x1111111111111111 // one 1 per order nibble
+	// identOrd is the order word's XOR key, the identity order: a zeroed
+	// word decodes to ways 0, 1, …, 15 from MRU to LRU.
+	identOrd = 0xfedcba9876543210
+)
+
+// Cache is one set-associative LRU cache array. Each set is one contiguous
+// span of ents (layout above), so a probe touches one span instead of
+// chasing pointers, which matters because every simulated memory access
+// probes several sets and the larger arrays (the LLC's) miss the host's own
+// caches. A probe costs the same at any way count: it matches every way's
+// fingerprint byte at once and compares only the candidates' full tags, and
+// the recency order names the LRU way without comparing ages.
 type Cache struct {
 	cfg   Config
-	ways  int
-	wspan int // ways*2: elements per set in ents
+	span  int // hdrWords + ways: words per set in ents
 	nsets uint64
-	mask  uint64   // nsets-1 when nsets is a power of two, else 0 (modulo path)
-	ents  []uint64 // (tag, stamp) pairs; tag 0 = invalid (stored +1)
+	mask  uint64    // nsets-1 when nsets is a power of two, else 0 (modulo path)
+	live  [2]uint64 // per fingerprint word, the high bit of each way's byte
+	lru   uint      // bit offset of the LRU nibble in the order word
+	ents  []uint64  // tags are stored +1 so that 0 means invalid
 
 	Hits   uint64
 	Misses uint64
@@ -82,12 +101,16 @@ func NewCache(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	n := cfg.Sets()
+	// A shift by 64 or more is 0 in Go, so 1<<(8*ways)-1 covers every byte
+	// of a full word.
+	live := func(ways int) uint64 { return (uint64(1)<<(8*ways) - 1) & lanes << 7 }
 	c := &Cache{
 		cfg:   cfg,
-		ways:  cfg.Ways,
-		wspan: cfg.Ways * 2,
+		span:  hdrWords + cfg.Ways,
 		nsets: uint64(n),
-		ents:  make([]uint64, n*cfg.Ways*2),
+		live:  [2]uint64{live(cfg.Ways), live(max(cfg.Ways-8, 0))},
+		lru:   uint(4 * (cfg.Ways - 1)),
+		ents:  make([]uint64, n*(hdrWords+cfg.Ways)),
 	}
 	if n&(n-1) == 0 {
 		c.mask = uint64(n) - 1
@@ -98,11 +121,11 @@ func NewCache(cfg Config) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// locate returns the first element index of pa's set in ents and its match
-// tag. For power-of-two set counts (every Table 3 geometry, scaled or not)
-// the set index is a mask — bit-identical to the modulo it replaces — so
-// the hot path avoids a hardware divide.
-func (c *Cache) locate(pa mem.PAddr) (int, uint64) {
+// locate returns pa's set span in ents and its match tag. For power-of-two
+// set counts (every Table 3 geometry, scaled or not) the set index is a
+// mask — bit-identical to the modulo it replaces — so the hot path avoids a
+// hardware divide.
+func (c *Cache) locate(pa mem.PAddr) ([]uint64, uint64) {
 	line := uint64(pa) / mem.CacheLineBytes
 	var si uint64
 	if c.mask != 0 {
@@ -110,92 +133,115 @@ func (c *Cache) locate(pa mem.PAddr) (int, uint64) {
 	} else {
 		si = line % c.nsets
 	}
-	return int(si) * c.wspan, line + 1 // +1 so tag 0 means invalid
+	base := int(si) * c.span
+	return c.ents[base : base+c.span], line + 1 // +1 so tag 0 means invalid
+}
+
+// fingerprint folds a tag into a non-zero byte. Lines of one set differ
+// only above the set index, so the fold multiplies first to spread those
+// bits into the byte it keeps.
+func fingerprint(tag uint64) uint64 {
+	fp := tag * 0x9e3779b97f4a7c15 >> 56
+	return fp + (fp-1)>>63 // 0 → 1
+}
+
+// find returns the way of set holding tag, or -1. A zero-byte test over the
+// fingerprints XOR fp flags every byte that matches (and at most a few
+// false ones above a match, which the full tag check rejects); masking to
+// the live ways keeps it off the bytes of ways the cache does not have.
+func (c *Cache) find(set []uint64, tag, fp uint64) int {
+	b := fp * lanes
+	for i := range c.live {
+		x := set[i] ^ b
+		for m := (x - lanes) &^ x & c.live[i]; m != 0; m &= m - 1 {
+			w := i<<3 | bits.TrailingZeros64(m)>>3
+			if set[hdrWords+w] == tag {
+				return w
+			}
+		}
+	}
+	return -1
+}
+
+// touch makes way w the most recently used of set.
+func touch(set []uint64, w int) {
+	ord := set[ordWord] ^ identOrd
+	x := ord ^ uint64(w)*nibbles
+	// w occurs once in the word, and the lowest nibble the zero test flags
+	// is always a true zero, so this is w's nibble offset.
+	p := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	set[ordWord] = moveFront(ord, p) ^ identOrd
+}
+
+// moveFront moves the nibble at bit offset p of the order word ord to the
+// front, shifting the nibbles before it back by one place.
+func moveFront(ord uint64, p uint) uint64 {
+	before := uint64(1)<<(p&60) - 1
+	return ord&^(before<<4|0xf) | (ord&before)<<4 | ord>>(p&60)&0xf
+}
+
+// fill evicts set's LRU way — an invalid way while the set is not full,
+// since ways are never invalidated one at a time — for tag, and makes it
+// the most recently used.
+func (c *Cache) fill(set []uint64, tag, fp uint64) {
+	ord := set[ordWord] ^ identOrd
+	w := ord >> c.lru & 0xf
+	set[ordWord] = moveFront(ord, c.lru) ^ identOrd
+	sh := w & 7 * 8
+	set[w>>3] = set[w>>3]&^(0xff<<sh) | fp<<sh
+	set[hdrWords+w] = tag
 }
 
 // Lookup probes for the line holding pa and refreshes LRU state on a hit.
-func (c *Cache) Lookup(pa mem.PAddr, now uint64) bool {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	// w < len(set)-1 (not w < len) so the compiler can prove the scan's
-	// element loads in bounds; wspan is even, so the iteration space is
-	// identical.
-	for w := 0; w < len(set)-1; w += 2 {
-		if set[w] == tag {
-			set[w+1] = now
-			c.Hits++
-			return true
-		}
+func (c *Cache) Lookup(pa mem.PAddr) bool {
+	set, tag := c.locate(pa)
+	if w := c.find(set, tag, fingerprint(tag)); w >= 0 {
+		touch(set, w)
+		c.Hits++
+		return true
 	}
 	c.Misses++
 	return false
 }
 
-// Insert fills the line holding pa, evicting the LRU victim.
-func (c *Cache) Insert(pa mem.PAddr, now uint64) {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < len(set)-1; w += 2 {
-		if set[w] == tag {
-			set[w+1] = now
-			return
-		}
-		if set[w] == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if s := set[w+1]; s < oldest {
-			victim, oldest = w, s
-		}
+// Insert fills the line holding pa, evicting the LRU victim, or refreshes
+// it if it is already present.
+func (c *Cache) Insert(pa mem.PAddr) {
+	set, tag := c.locate(pa)
+	fp := fingerprint(tag)
+	if w := c.find(set, tag, fp); w >= 0 {
+		touch(set, w)
+		return
 	}
-	set[victim] = tag
-	set[victim+1] = now
+	c.fill(set, tag, fp)
 }
 
 // lookupOrFill probes for the line holding pa and, on a miss, fills the
-// victim way within the same set scan. It is exactly Lookup followed by
-// Insert of the same line: valid tags always occupy a prefix of the set
-// (fills take the first empty way, evictions replace in place, and Flush
-// empties whole sets), so the first empty way encountered both proves the
-// tag absent and is the way Insert would pick. Hit/miss counters, LRU
-// stamps, and victim choice are bit-identical to the two-call sequence —
-// but the set span is touched once instead of twice, which matters on the
-// miss path where the span starts cold in the host's own caches.
-func (c *Cache) lookupOrFill(pa mem.PAddr, now uint64) bool {
-	base, tag := c.locate(pa)
-	set := c.ents[base : base+c.wspan]
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < len(set)-1; w += 2 {
-		t := set[w]
-		if t == tag {
-			set[w+1] = now
-			c.Hits++
-			return true
-		}
-		if t == 0 {
-			c.Misses++
-			set[w] = tag
-			set[w+1] = now
-			return false
-		}
-		if s := set[w+1]; s < oldest {
-			victim, oldest = w, s
-		}
+// victim way of the same set: exactly Lookup followed by Insert of the same
+// line, with one set location and one fingerprint match instead of two.
+func (c *Cache) lookupOrFill(pa mem.PAddr) bool {
+	set, tag := c.locate(pa)
+	fp := fingerprint(tag)
+	if w := c.find(set, tag, fp); w >= 0 {
+		touch(set, w)
+		c.Hits++
+		return true
 	}
 	c.Misses++
-	set[victim] = tag
-	set[victim+1] = now
+	c.fill(set, tag, fp)
 	return false
 }
 
-// Flush invalidates the entire array (used across simulated context
-// switches in tests).
-func (c *Cache) Flush() {
-	for i := 0; i < len(c.ents); i += 2 {
-		c.ents[i] = 0
-	}
+// contains reports whether the line holding pa is present, without
+// touching LRU state or counters.
+func (c *Cache) contains(pa mem.PAddr) bool {
+	set, tag := c.locate(pa)
+	return c.find(set, tag, fingerprint(tag)) >= 0
 }
+
+// Flush invalidates the entire array (used across simulated context
+// switches in tests). A zeroed set is empty, in identity order.
+func (c *Cache) Flush() { clear(c.ents) }
 
 // HierarchyConfig describes the full memory system; DefaultConfig matches
 // Table 3 (Intel Xeon Gold 6138).
@@ -236,8 +282,6 @@ type Hierarchy struct {
 	L1D *Cache
 	L2  *Cache
 	LLC *Cache
-
-	now uint64
 
 	Accesses   uint64
 	MemFetches uint64
@@ -285,17 +329,16 @@ type AccessResult struct {
 // round-trip latency and the serving level, and filling all levels above
 // the hit (inclusive allocation). Each level that misses is filled by its
 // own lookupOrFill as the probe cascades down — every miss level ends up
-// holding the line under the same LRU clock tick, exactly as the
-// lookup-then-backfill phrasing would leave it, without rescanning any set.
+// holding the line as its most recently used, exactly as the
+// lookup-then-backfill phrasing would leave it, without reprobing any set.
 func (h *Hierarchy) Access(pa mem.PAddr) AccessResult {
-	h.now++
 	h.Accesses++
 	switch {
-	case h.L1D.lookupOrFill(pa, h.now):
+	case h.L1D.lookupOrFill(pa):
 		return AccessResult{h.cfg.L1D.LatencyRT, LevelL1}
-	case h.L2.lookupOrFill(pa, h.now):
+	case h.L2.lookupOrFill(pa):
 		return AccessResult{h.cfg.L2.LatencyRT, LevelL2}
-	case h.LLC.lookupOrFill(pa, h.now):
+	case h.LLC.lookupOrFill(pa):
 		return AccessResult{h.cfg.LLC.LatencyRT, LevelLLC}
 	default:
 		h.MemFetches++
@@ -305,7 +348,7 @@ func (h *Hierarchy) Access(pa mem.PAddr) AccessResult {
 
 // AccessBatch performs demand accesses to every pa in order, returning the
 // summed round-trip cycles. It is bit-identical to calling Access per
-// element — same lookup order, same inclusive fills, same LRU clock and
+// element — same lookup order, same inclusive fills, same LRU order and
 // counters — but keeps the level pointers and per-level configs hot in one
 // loop, which matters on the batched engine's TLB-hit runs where the data
 // access is the only memory-system work per op.
@@ -317,14 +360,13 @@ func (h *Hierarchy) AccessBatch(pas []mem.PAddr) uint64 {
 	latMem := uint64(h.cfg.MemLatency)
 	var cycles uint64
 	for _, pa := range pas {
-		h.now++
 		h.Accesses++
 		switch {
-		case l1.lookupOrFill(pa, h.now):
+		case l1.lookupOrFill(pa):
 			cycles += latL1
-		case l2.lookupOrFill(pa, h.now):
+		case l2.lookupOrFill(pa):
 			cycles += latL2
-		case llc.lookupOrFill(pa, h.now):
+		case llc.lookupOrFill(pa):
 			cycles += latLLC
 		default:
 			h.MemFetches++
@@ -342,41 +384,19 @@ func (h *Hierarchy) AccessBatch(pas []mem.PAddr) uint64 {
 // it cannot hide (LevelL2 means the line was already close — nothing to
 // wait for).
 func (h *Hierarchy) Prefetch(pa mem.PAddr) Level {
-	h.now++
-	if h.L2.lookupOrFill(pa, h.now) {
+	if h.L2.lookupOrFill(pa) {
 		return LevelL2
 	}
-	if h.LLC.lookupOrFill(pa, h.now) {
+	if h.LLC.lookupOrFill(pa) {
 		return LevelLLC
 	}
 	h.MemFetches++
 	return LevelMem
 }
 
-// Tick advances the hierarchy's LRU clock by one and returns the new stamp.
-// Designs that manage individual cache arrays directly (Victima's TLB-spill
-// blocks live in stolen L2 ways) stamp their Lookup/Insert calls with it, so
-// their lines age on the same clock as demand traffic — mixing a private
-// counter in would make spilled lines look arbitrarily old or young to the
-// LRU victim scan.
-func (h *Hierarchy) Tick() uint64 {
-	h.now++
-	return h.now
-}
-
 // Contains reports whether pa is present at any level (test helper).
 func (h *Hierarchy) Contains(pa mem.PAddr) bool {
-	// Probe without disturbing LRU or stats: inspect tags directly.
-	for _, c := range []*Cache{h.L1D, h.L2, h.LLC} {
-		base, tag := c.locate(pa)
-		set := c.ents[base : base+c.wspan]
-		for w := 0; w < len(set); w += 2 {
-			if set[w] == tag {
-				return true
-			}
-		}
-	}
-	return false
+	return h.L1D.contains(pa) || h.L2.contains(pa) || h.LLC.contains(pa)
 }
 
 // Flush empties all levels.

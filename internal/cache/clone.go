@@ -1,7 +1,8 @@
 package cache
 
-// Clone deep-copies one cache array: the interleaved tag/stamp entries and
-// hit/miss counters, so lookups on the clone age its own sets only.
+// Clone deep-copies one cache array: every set's fingerprints, recency
+// order and tags, and the hit/miss counters, so lookups on the clone age its
+// own sets only.
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.ents = append([]uint64(nil), c.ents...)
@@ -17,7 +18,6 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		L1D:        h.L1D.Clone(),
 		L2:         h.L2.Clone(),
 		LLC:        h.LLC.Clone(),
-		now:        h.now,
 		Accesses:   h.Accesses,
 		MemFetches: h.MemFetches,
 	}

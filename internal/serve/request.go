@@ -68,6 +68,9 @@ func (q *RunRequest) Config(maxOps int) (sim.Config, error) {
 	if err := sim.CheckCacheScale(q.CacheScale); err != nil {
 		return sim.Config{}, fmt.Errorf("serve: cache_scale: %w", err)
 	}
+	if err := sim.CheckWS(q.WSMiB); err != nil {
+		return sim.Config{}, fmt.Errorf("serve: ws_mib: %w", err)
+	}
 	cfg := sim.Config{
 		Env: env, Design: design, THP: q.THP, Workload: wl,
 		WSBytes: uint64(q.WSMiB) << 20, Ops: q.Ops, Seed: q.Seed,

@@ -331,6 +331,10 @@ func TestServeValidation(t *testing.T) {
 		{"shards over ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Ops: 100, Shards: 1 << 20}},
 		{"shards over default ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Shards: 200_001}},
 		{"workers over ops", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", Ops: 100, Workers: 101}},
+		// A 64 GiB working set was admitted and took about 25 s to build.
+		{"working set over cap", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", WSMiB: 65536}},
+		{"working set one past cap", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", WSMiB: 16<<10 + 1}},
+		{"working set bytes wrap to zero", RunRequest{Env: "native", Design: "dmt", Workload: "GUPS", WSMiB: 1 << 44}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

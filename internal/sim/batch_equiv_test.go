@@ -224,7 +224,7 @@ func FuzzBatchWalkShadow(f *testing.F) {
 }
 
 // FuzzBatchWalkVictima covers the L2-spill walker: its batch path threads
-// spill-block probes, the shared LRU clock, and inner-radix fills through
+// spill-block probes, the L2's shared LRU order, and inner-radix fills through
 // the RunBatch seam, so fuzzing it guards the fill/evict bookkeeping
 // against batch/scalar divergence.
 func FuzzBatchWalkVictima(f *testing.F) {

@@ -585,6 +585,23 @@ func CheckShards(cfg Config) error {
 	return nil
 }
 
+// maxWSMiB caps a run's working set at 10× the largest Table 4 default
+// (Redis, 1.6 GiB). A build populates every page of the working set before
+// the first trace op, so its cost grows with the size asked for: 64 GiB
+// takes about 25 s to build, while the cap still leaves room to sweep
+// working sets an order of magnitude past the paper's.
+const maxWSMiB = 16 << 10
+
+// CheckWS reports whether a working set of mib MiB (0 selects the
+// workload's default) is within maxWSMiB. The service and the command lines
+// call it to reject an oversized run before any work is scheduled.
+func CheckWS(mib int) error {
+	if mib < 0 || mib > maxWSMiB {
+		return fmt.Errorf("working set %d MiB outside [0, %d]", mib, maxWSMiB)
+	}
+	return nil
+}
+
 // CheckCacheScale reports whether a machine can be built with the given
 // Config.CacheScale (0 selects the default): every divided cache capacity
 // must still split into whole sets of whole lines, which with the Table 3

@@ -214,6 +214,21 @@ func TestCheckCacheScaleMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestCheckWSBoundary pins where CheckWS draws the line, and that the cap
+// keeps its stated margin over every workload's default working set.
+func TestCheckWSBoundary(t *testing.T) {
+	for mib, ok := range map[int]bool{0: true, 1: true, maxWSMiB: true, maxWSMiB + 1: false, 65536: false, 1 << 44: false, -1: false} {
+		if err := CheckWS(mib); (err == nil) != ok {
+			t.Errorf("CheckWS(%d) = %v, want accepted=%v", mib, err, ok)
+		}
+	}
+	for _, wl := range workload.All() {
+		if 10*wl.DefaultWS > maxWSMiB<<20 {
+			t.Errorf("%s: 10× its %d-byte default exceeds the %d MiB cap", wl.Name, wl.DefaultWS, maxWSMiB)
+		}
+	}
+}
+
 // TestCheckShardsBoundary pins where CheckShards draws the line: a shard per
 // trace op is the most it admits, counting both after defaults.
 func TestCheckShardsBoundary(t *testing.T) {
