@@ -60,10 +60,13 @@ func BuildMirror(vm *virt.VM, guest *kernel.AddressSpace) (*Mirror, error) {
 	}
 	m.root = root
 	for _, v := range guest.VMAs() {
-		for _, p := range v.PresentPages() {
-			if err := m.syncPath(guest, p.VA); err != nil {
-				return nil, err
+		v.ForEachPresent(func(va mem.VAddr, _ mem.PageSize) {
+			if err == nil {
+				err = m.syncPath(guest, va)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return m, nil

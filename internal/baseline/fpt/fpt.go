@@ -150,18 +150,7 @@ func (t *Table) leafMatch(va mem.VAddr) int {
 
 // Sync mirrors every present leaf mapping of as.
 func (t *Table) Sync(as *kernel.AddressSpace) error {
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			pa, size, ok := as.PT.Lookup(p.VA)
-			if !ok {
-				continue
-			}
-			if err := t.Map(p.VA, mem.AlignDownP(pa, size.Bytes()), size); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return as.ForEachLeaf(t.Map)
 }
 
 // FootprintBytes reports the table's physical footprint (root + leaves).

@@ -156,28 +156,21 @@ func (s *Seg) Clone() *Seg {
 // machine-contiguous through it (restrictive placement); pages failing
 // either stay flexible. A nil resolve is the identity (native).
 func (s *Seg) Sync(as *kernel.AddressSpace, resolve func(mem.PAddr) (mem.PAddr, bool)) error {
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			pa, size, ok := as.PT.Lookup(p.VA)
-			if !ok {
-				continue
-			}
-			frame := mem.AlignDownP(pa, size.Bytes())
-			if resolve != nil {
-				frame, ok = resolveContig(resolve, frame, size)
-				if !ok {
-					s.Flexible++
-					continue
-				}
-			}
-			if s.segFor(size).insert(p.VA, frame) {
-				s.Restrictive++
-			} else {
+	return as.ForEachLeaf(func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
+		if resolve != nil {
+			var ok bool
+			if frame, ok = resolveContig(resolve, frame, size); !ok {
 				s.Flexible++
+				return nil
 			}
 		}
-	}
-	return nil
+		if s.segFor(size).insert(va, frame) {
+			s.Restrictive++
+		} else {
+			s.Flexible++
+		}
+		return nil
+	})
 }
 
 // resolveContig resolves the page frame through the host dimension and

@@ -122,8 +122,9 @@ func NewCache(cfg Config) (*Cache, error) {
 func (c *Cache) Config() Config { return c.cfg }
 
 // locate returns pa's set span in ents and its match tag. For power-of-two
-// set counts (every Table 3 geometry, scaled or not) the set index is a
-// mask — bit-identical to the modulo it replaces — so the hot path avoids a
+// set counts above one (every Table 3 geometry, scaled or not, except
+// single-set levels, which take the modulo path) the set index is a mask —
+// bit-identical to the modulo it replaces — so the hot path avoids a
 // hardware divide.
 func (c *Cache) locate(pa mem.PAddr) ([]uint64, uint64) {
 	line := uint64(pa) / mem.CacheLineBytes

@@ -44,12 +44,11 @@ func Conservation(pa *phys.Allocator, claimed int) []string {
 func DataFrames(as *kernel.AddressSpace) int {
 	frames := 0
 	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			if v.ResidentAt(p.VA) {
-				continue
+		v.ForEachPresent(func(va mem.VAddr, size mem.PageSize) {
+			if !v.ResidentAt(va) {
+				frames += int(size.Bytes() >> mem.PageShift4K)
 			}
-			frames += int(p.Size.Bytes() >> mem.PageShift4K)
-		}
+		})
 	}
 	return frames
 }
@@ -80,15 +79,15 @@ func ASInvariants(as *kernel.AddressSpace) []string {
 		}
 	}
 	for _, v := range vmas {
-		for _, p := range v.PresentPages() {
-			_, size, ok := as.PT.Lookup(p.VA)
+		v.ForEachPresent(func(va mem.VAddr, recorded mem.PageSize) {
+			_, size, ok := as.PT.Lookup(va)
 			switch {
 			case !ok:
-				bad = append(bad, fmt.Sprintf("%s: page %#x recorded present but not mapped", v.Name, uint64(p.VA)))
-			case size != p.Size:
-				bad = append(bad, fmt.Sprintf("%s: page %#x recorded %v but mapped %v", v.Name, uint64(p.VA), p.Size, size))
+				bad = append(bad, fmt.Sprintf("%s: page %#x recorded present but not mapped", v.Name, uint64(va)))
+			case size != recorded:
+				bad = append(bad, fmt.Sprintf("%s: page %#x recorded %v but mapped %v", v.Name, uint64(va), recorded, size))
 			}
-		}
+		})
 	}
 	return bad
 }

@@ -193,7 +193,7 @@ func (as *AddressSpace) MUnmap(v *VMA) error {
 	// Tear down translations while the TEA mapping is still live so
 	// TEA-resident node frames are recognized (OwnsNode) and freed with
 	// their TEA rather than individually.
-	v.forEachPresent(func(page mem.VAddr, size mem.PageSize) {
+	v.ForEachPresent(func(page mem.VAddr, size mem.PageSize) {
 		as.unmapPage(v, page)
 	})
 	if as.hooks != nil {
@@ -245,7 +245,7 @@ func (as *AddressSpace) Shrink(v *VMA, newEnd mem.VAddr) error {
 			}
 		}
 	}
-	v.forEachPresent(func(page mem.VAddr, size mem.PageSize) {
+	v.ForEachPresent(func(page mem.VAddr, size mem.PageSize) {
 		if page >= newEnd {
 			as.unmapPage(v, page)
 		}
@@ -392,6 +392,11 @@ func (as *AddressSpace) UnmapPage(v *VMA, va mem.VAddr) error {
 // Populate eagerly faults in the whole VMA, modelling init-time allocation
 // by data-intensive workloads (§7: "they typically allocate memory at the
 // initialization time").
+//
+// The first absent page of each 2 MiB region takes a full fault (node
+// placement, TEA hooks, THP choice); once that leaves a 4 KiB leaf, the
+// region's other absent pages up to the VMA end are filled in one pass over
+// its level-1 node, each allocated and recorded as its own fault would be.
 func (as *AddressSpace) Populate(v *VMA) error {
 	if as.indexOf(v) < 0 {
 		return ErrNoSuchVMA
@@ -413,7 +418,51 @@ func (as *AddressSpace) Populate(v *VMA) error {
 		if err := as.faultIn(v, va, true); err != nil {
 			return err
 		}
-		va += mem.PageBytes4K
+		end := min(mem.AlignDown(va, mem.PageBytes2M)+mem.PageBytes2M, v.End)
+		if va += mem.PageBytes4K; va == end {
+			continue
+		}
+		filled, err := as.PT.FillRegion(va, end, mem.PTEWritable.WithAccessed(true), func(page mem.VAddr) (mem.PAddr, error) {
+			pa, err := as.Phys.AllocFrame(phys.KindMovable)
+			if err != nil {
+				return 0, fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+			}
+			v.setPresent(page, mem.Size4K, false)
+			as.rmap.set(pa, page, mem.Size4K)
+			as.Faults++
+			return pa, nil
+		})
+		if err != nil {
+			return err
+		}
+		if filled {
+			va = end
+		}
+	}
+	return nil
+}
+
+// ForEachLeaf visits every page PresentPages lists, VMA by VMA in address
+// order, with the page-aligned frame and the size the page table maps it
+// with (what PT.Lookup returns), skipping pages the table does not map. It
+// is how mirror structures (shadow tables, hashed and flat tables,
+// segments) are built from a space without a slice per VMA. It stops at,
+// and returns, the first error fn returns; fn must not change the space.
+func (as *AddressSpace) ForEachLeaf(fn func(va mem.VAddr, frame mem.PAddr, size mem.PageSize) error) error {
+	for _, v := range as.vmas {
+		for i, s := range v.state {
+			if s&^pageResident == pageAbsent {
+				continue
+			}
+			va := v.Start + mem.VAddr(i)<<mem.PageShift4K
+			pa, size, ok := as.PT.Lookup(va)
+			if !ok {
+				continue
+			}
+			if err := fn(va, mem.AlignDownP(pa, size.Bytes()), size); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -124,9 +124,10 @@ func (v *VMA) clearPresent(base mem.VAddr) {
 	}
 }
 
-// forEachPresent visits every populated page in ascending address order.
-// The callback may unmap the page it is handed (but no other).
-func (v *VMA) forEachPresent(fn func(base mem.VAddr, size mem.PageSize)) {
+// ForEachPresent visits every populated page, with the leaf size recorded
+// for it, in ascending address order — PresentPages without the slice. The
+// callback may unmap the page it is handed (but no other).
+func (v *VMA) ForEachPresent(fn func(base mem.VAddr, size mem.PageSize)) {
 	for i, s := range v.state {
 		if s &^= pageResident; s != pageAbsent {
 			fn(v.Start+mem.VAddr(i)<<mem.PageShift4K, mem.PageSize(s-1))
@@ -166,7 +167,7 @@ type PresentPage struct {
 // iteration for consumers like the shadow-table builder).
 func (v *VMA) PresentPages() []PresentPage {
 	out := make([]PresentPage, 0, v.populated)
-	v.forEachPresent(func(base mem.VAddr, size mem.PageSize) {
+	v.ForEachPresent(func(base mem.VAddr, size mem.PageSize) {
 		out = append(out, PresentPage{VA: base, Size: size})
 	})
 	return out

@@ -15,8 +15,8 @@ import (
 // frame and from base VA to leaf, with every answer recomputed from those
 // maps. A random stream drives both through Map/Unmap of all three page
 // sizes, the cache-using probes (Lookup, LeafPTE, SetAccessed,
-// RegionEmpty), RelocateNode, Maps whose node allocation fails, and Clone
-// with both sides driven afterwards. After every operation a sweep that
+// RegionEmpty), FillRegion, RelocateNode, Maps whose node allocation
+// fails, and Clone with both sides driven afterwards. After every operation a sweep that
 // leaves the cache as the stream left it (Walk never consults the cache,
 // RegionEmpty never fills it) compares every fetched PTE address, every
 // leaf and every region with the model, and checks the cache is exact.
@@ -143,6 +143,26 @@ func (m *refTable) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.
 	}
 	m.leaves[va] = refLeaf{size, mem.MakePTE(pa, flags)}
 	return nil
+}
+
+// FillRegion maps the absent pages of [va, end), clamped to va's 2 MiB
+// region, when the region has a level-1 node.
+func (m *refTable) FillRegion(va, end mem.VAddr, flags mem.PTE, next func(mem.VAddr) (mem.PAddr, error)) (bool, error) {
+	if _, ok := m.nodes[nodeOf(1, va)]; !ok {
+		return false, nil
+	}
+	end = min(end, mem.AlignDown(va, mem.PageBytes2M)+mem.PageBytes2M)
+	for page := va; page < end; page += mem.PageBytes4K {
+		if _, ok := m.leafAt(1, page); ok {
+			continue
+		}
+		pa, err := next(page)
+		if err != nil {
+			return true, err
+		}
+		m.leaves[page] = refLeaf{mem.Size4K, mem.MakePTE(pa, flags)}
+	}
+	return true, nil
 }
 
 // live counts the entries of the node k: leaves and child nodes inside it.
@@ -305,9 +325,9 @@ func runTableModel(t *testing.T, data []byte) {
 		va, arg := modelVA(data[i+1]), data[i+2]
 		size := modelSizes[int(arg)%3]
 		var op string
-		switch data[i] % 11 {
+		switch data[i] % 12 {
 		case 0, 1, 2: // Map, mostly 4K so regions fill page by page
-			if data[i]%11 != 0 {
+			if data[i]%12 != 0 {
 				size = mem.Size4K
 			}
 			va = mem.AlignDown(va, size.Bytes())
@@ -319,7 +339,7 @@ func runTableModel(t *testing.T, data []byte) {
 				t.Fatalf("%s = %v, model %v", op, got, want)
 			}
 		case 3, 4: // Unmap, mostly 4K
-			if data[i]%11 != 3 {
+			if data[i]%12 != 3 {
 				size = mem.Size4K
 			}
 			va = mem.AlignDown(va, size.Bytes())
@@ -370,6 +390,31 @@ func runTableModel(t *testing.T, data []byte) {
 			got, want := s.tbl.RelocateNode(va, level, target), s.ref.RelocateNode(va, level, target)
 			if errClass(got) != errClass(want) {
 				t.Fatalf("%s = %v, model %v", op, got, want)
+			}
+		case 11: // FillRegion of up to 15 pages from a model VA or near its region's end
+			if arg&0x20 != 0 {
+				va += 504 * mem.PageBytes4K
+			}
+			end := va + mem.VAddr(arg%16)*mem.PageBytes4K
+			flags := mem.PTE(arg&1) * mem.PTEWritable
+			failAt := 1 + int(arg>>6)*4
+			op = fmt.Sprintf("FillRegion(%#x, %#x)", uint64(va), uint64(end))
+			// next fails at call failAt; both sides must ask for the same
+			// pages.
+			next := func(calls *[]mem.VAddr) func(mem.VAddr) (mem.PAddr, error) {
+				return func(page mem.VAddr) (mem.PAddr, error) {
+					*calls = append(*calls, page)
+					if len(*calls) == failAt {
+						return 0, errAllocFail
+					}
+					return mem.PAddr(uint64(page)>>12+1) << 30, nil
+				}
+			}
+			var gotCalls, wantCalls []mem.VAddr
+			gotOK, gotErr := s.tbl.FillRegion(va, end, flags, next(&gotCalls))
+			wantOK, wantErr := s.ref.FillRegion(va, end, flags, next(&wantCalls))
+			if gotOK != wantOK || errClass(gotErr) != errClass(wantErr) || !slices.Equal(gotCalls, wantCalls) {
+				t.Fatalf("%s = %v, %v after %d calls; model %v, %v after %d", op, gotOK, gotErr, len(gotCalls), wantOK, wantErr, len(wantCalls))
 			}
 		case 10: // arm a node-allocation failure, or (high bit) clone
 			if arg&0x80 != 0 && len(sides) < 3 {

@@ -187,8 +187,8 @@ type Table struct {
 	free   NodeFreeFunc
 
 	// leaf caches the level-1 node of the 2 MiB region based at leafVA,
-	// the last one Map or leafSlot descended into, so demand paging a
-	// region page by page descends from the root once (0 = empty). A
+	// the last one Map, FillRegion or leafSlot descended into, so demand
+	// paging a region page by page descends from the root once (0 = empty). A
 	// level-1 node stays linked under its region until Unmap releases it,
 	// and no huge leaf can be installed over a linked node, so the entry
 	// is exact until Unmap releases any node; that clears it. Node IDs
@@ -422,6 +422,45 @@ func (t *Table) RegionEmpty(va mem.VAddr) bool {
 		node = t.pool.node(node.children[idx])
 	}
 	return node.live == 0
+}
+
+// FillRegion maps 4 KiB leaves over [va, end), clamped to va's 2 MiB
+// region, in one pass over the region's level-1 node: each page whose entry
+// is absent gets the 4 KiB-aligned frame next returns for it, and present
+// entries are skipped without a call.
+// Every write is the one Map would make: the node is linked, so Map would
+// place no node, and no huge leaf can cover the region. It writes nothing
+// and reports false when no level-1 node is linked under the region (the
+// range is unmapped or a huge leaf covers it); the caller then maps through
+// Map, which places nodes. An error from next stops the fill.
+func (t *Table) FillRegion(va, end mem.VAddr, flags mem.PTE, next func(page mem.VAddr) (mem.PAddr, error)) (bool, error) {
+	node, level := t.descentStart(va, 1)
+	for ; level > 1; level-- {
+		idx := mem.Index(va, level)
+		if pte := node.entries[idx]; !pte.Present() || pte.Huge() {
+			return false, nil
+		}
+		child := node.children[idx]
+		if level == 2 {
+			t.leafVA, t.leaf = regionOf(va), child
+		}
+		node = t.pool.node(child)
+	}
+	end = min(end, regionOf(va)+mem.PageBytes2M)
+	for page := va; page < end; page += mem.PageBytes4K {
+		idx := mem.Index(page, 1)
+		if node.entries[idx].Present() {
+			continue
+		}
+		pa, err := next(page)
+		if err != nil {
+			return true, err
+		}
+		node.entries[idx] = mem.MakePTE(pa, flags)
+		node.live++
+		t.Mapped[mem.Size4K]++
+	}
+	return true, nil
 }
 
 // SetAccessed sets the A (and optionally D) bit on the leaf PTE mapping va,

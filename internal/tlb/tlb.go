@@ -16,9 +16,10 @@ import (
 // values, and stamps live interleaved in one flat set-major array — (key,
 // val, stamp) triplets — so the walk hot path, which probes these
 // structures many times per translation, touches one contiguous span per
-// set: no pointer chase, no hardware divide (power-of-two set counts take
-// a mask), and a hit reads its value and writes its stamp on the cache
-// line it just scanned.
+// set: no pointer chase, no hardware divide for power-of-two set counts
+// above one (they take a mask; a single set, with mask 0, takes the
+// modulo path), and a hit reads its value and writes its stamp on the
+// cache line it just scanned.
 type assoc struct {
 	ents  []uint64 // (key+1, val, stamp) triplets; key 0 = invalid
 	ways  int
@@ -26,8 +27,6 @@ type assoc struct {
 	nsets uint64
 	mask  uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
 	now   uint64
-	hits  uint64
-	miss  uint64
 
 	// Miss stash: a failed lookup has already scanned the very set a
 	// follow-up insert of the same key will scan, so it records the victim
@@ -105,7 +104,6 @@ func (a *assoc) lookup(key uint64) (uint64, bool) {
 		k := set[w]
 		if k == key+1 {
 			set[w+2] = a.now
-			a.hits++
 			a.missKey = 0
 			return set[w+1], true
 		}
@@ -119,7 +117,6 @@ func (a *assoc) lookup(key uint64) (uint64, bool) {
 			victim, oldest = w, s
 		}
 	}
-	a.miss++
 	// Stash the way insert would choose: the first empty way if any
 	// (invalidate can leave holes anywhere in a set), else the LRU way.
 	if empty >= 0 {
@@ -147,20 +144,29 @@ func (a *assoc) insert(key, val uint64) {
 	a.missKey = 0
 	base := a.set(key)
 	set := a.ents[base : base+a.wspan]
-	victim, oldest := 0, ^uint64(0)
+	// The whole set is scanned for key before a hole is taken: invalidate
+	// can leave a hole below a way that still holds key, and filling that
+	// hole would keep two copies of it.
+	victim, oldest, empty := 0, ^uint64(0), -1
 	for w := 0; w < len(set)-2; w += 3 {
-		if set[w] == key+1 {
+		k := set[w]
+		if k == key+1 {
 			set[w+1] = val
 			set[w+2] = a.now
 			return
 		}
-		if set[w] == 0 {
-			victim, oldest = w, 0
-			break
+		if k == 0 {
+			if empty < 0 {
+				empty = w
+			}
+			continue
 		}
 		if s := set[w+2]; s < oldest {
 			victim, oldest = w, s
 		}
+	}
+	if empty >= 0 {
+		victim = empty
 	}
 	set[victim] = key + 1
 	set[victim+1] = val

@@ -17,7 +17,7 @@ import (
 // guest-physical range is machine-contiguous and aligned; otherwise the
 // leaf is splintered into base pages, as real shadow paging must.
 func BuildShadowVA(vm *VM, guestAS *kernel.AddressSpace) (*pagetable.Table, error) {
-	return buildShadow(vm, shadowSources(guestAS), func(gpa mem.PAddr) (mem.PAddr, bool) {
+	return buildShadow(vm, guestAS, func(gpa mem.PAddr) (mem.PAddr, bool) {
 		return vm.MachineAddr(gpa)
 	})
 }
@@ -26,31 +26,14 @@ func BuildShadowVA(vm *VM, guestAS *kernel.AddressSpace) (*pagetable.Table, erro
 // virtualization (Figure 3): L2PA → L0PA, combining the L1 table
 // (L2PA→L1PA) with the L0 table (L1PA→L0PA). vm must be an L2 VM.
 func BuildNestedShadow(vm *VM) (*pagetable.Table, error) {
-	srcs := shadowSources(vm.HostAS)
-	return buildShadow(vm, srcs, func(l1pa mem.PAddr) (mem.PAddr, bool) {
+	return buildShadow(vm, vm.HostAS, func(l1pa mem.PAddr) (mem.PAddr, bool) {
 		return vm.Parent.MachineAddr(l1pa)
 	})
 }
 
-type shadowSource struct {
-	va   mem.VAddr
-	size mem.PageSize
-	dst  mem.PAddr // next-level physical address
-}
-
-func shadowSources(as *kernel.AddressSpace) []shadowSource {
-	var srcs []shadowSource
-	for _, v := range as.VMAs() {
-		for _, p := range v.PresentPages() {
-			if dst, size, ok := as.PT.Lookup(p.VA); ok {
-				srcs = append(srcs, shadowSource{va: p.VA, size: size, dst: mem.AlignDownP(dst, size.Bytes())})
-			}
-		}
-	}
-	return srcs
-}
-
-func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr, bool)) (*pagetable.Table, error) {
+// buildShadow mirrors every leaf of src, streamed by ForEachLeaf, through
+// resolve into a new table on the machine allocator.
+func buildShadow(vm *VM, src *kernel.AddressSpace, resolve func(mem.PAddr) (mem.PAddr, bool)) (*pagetable.Table, error) {
 	machine := vm.Hyp.MachinePhys
 	pool := pagetable.NewPool()
 	spt, err := pagetable.New(pool, mem.Levels4,
@@ -61,48 +44,43 @@ func buildShadow(vm *VM, srcs []shadowSource, resolve func(mem.PAddr) (mem.PAddr
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range srcs {
-		if s.size == mem.Size4K {
-			m, ok := resolve(s.dst)
+	err = src.ForEachLeaf(func(va mem.VAddr, dst mem.PAddr, size mem.PageSize) error {
+		// A huge leaf stays huge only if the machine backing is contiguous
+		// and aligned; otherwise it is splintered into base pages.
+		if size != mem.Size4K {
+			if base, ok := contiguousMachine(dst, size, resolve); ok {
+				if err := spt.Map(va, base, size, mem.PTEWritable); err != nil {
+					return err
+				}
+				vm.Hyp.ShadowSyncs++
+				return nil
+			}
+		}
+		for off := uint64(0); off < size.Bytes(); off += mem.PageBytes4K {
+			m, ok := resolve(dst + mem.PAddr(off))
 			if !ok {
 				continue
 			}
-			if err := spt.Map(s.va, mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
-				return nil, err
-			}
-			vm.Hyp.ShadowSyncs++
-			continue
-		}
-		// Huge leaf: keep it huge only if the machine backing is
-		// contiguous and aligned.
-		if base, ok := contiguousMachine(s, resolve); ok {
-			if err := spt.Map(s.va, base, s.size, mem.PTEWritable); err != nil {
-				return nil, err
-			}
-			vm.Hyp.ShadowSyncs++
-			continue
-		}
-		for off := uint64(0); off < s.size.Bytes(); off += mem.PageBytes4K {
-			m, ok := resolve(s.dst + mem.PAddr(off))
-			if !ok {
-				continue
-			}
-			if err := spt.Map(s.va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
-				return nil, err
+			if err := spt.Map(va+mem.VAddr(off), mem.AlignDownP(m, mem.PageBytes4K), mem.Size4K, mem.PTEWritable); err != nil {
+				return err
 			}
 			vm.Hyp.ShadowSyncs++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return spt, nil
 }
 
-func contiguousMachine(s shadowSource, resolve func(mem.PAddr) (mem.PAddr, bool)) (mem.PAddr, bool) {
-	base, ok := resolve(s.dst)
-	if !ok || !mem.IsAligned(uint64(base), s.size.Bytes()) {
+func contiguousMachine(dst mem.PAddr, size mem.PageSize, resolve func(mem.PAddr) (mem.PAddr, bool)) (mem.PAddr, bool) {
+	base, ok := resolve(dst)
+	if !ok || !mem.IsAligned(uint64(base), size.Bytes()) {
 		return 0, false
 	}
-	for off := uint64(mem.PageBytes4K); off < s.size.Bytes(); off += mem.PageBytes4K {
-		m, ok := resolve(s.dst + mem.PAddr(off))
+	for off := uint64(mem.PageBytes4K); off < size.Bytes(); off += mem.PageBytes4K {
+		m, ok := resolve(dst + mem.PAddr(off))
 		if !ok || m != base+mem.PAddr(off) {
 			return 0, false
 		}
