@@ -58,22 +58,21 @@ type AddressSpace struct {
 	MergedVMAs uint64
 }
 
-// rmapTable is the reverse map from data frames to the page mapping them.
-// Each entry packs the (4 KiB-aligned) VA with the leaf size + 1 in the low
-// bits, held in a chunked frame index that keeps the demand-paging hot path
-// free of map operations.
+// rmapTable is the reverse map from base-page data frames to the 4 KiB page
+// mapping them. Only base pages are recorded: Relocate, its one reader,
+// migrates frame by frame and must refuse a frame under a 2 MiB leaf, which
+// an absent entry does. Each entry is the page's VA with bit 0 set, so that
+// page 0 is not read as absent, held in a chunked frame index that keeps the
+// demand-paging hot path free of map operations.
 type rmapTable struct{ idx mem.FrameIndex[uint64] }
 
-func (r *rmapTable) set(pa mem.PAddr, va mem.VAddr, size mem.PageSize) {
-	r.idx.Set(uint64(pa)>>mem.PageShift4K, uint64(va)|(uint64(size)+1))
+func (r *rmapTable) set(pa mem.PAddr, va mem.VAddr) {
+	r.idx.Set(uint64(pa)>>mem.PageShift4K, uint64(va)|1)
 }
 
-func (r *rmapTable) get(pa mem.PAddr) (mem.VAddr, mem.PageSize, bool) {
+func (r *rmapTable) get(pa mem.PAddr) (mem.VAddr, bool) {
 	enc := r.idx.Get(uint64(pa) >> mem.PageShift4K)
-	if enc == 0 {
-		return 0, 0, false
-	}
-	return mem.VAddr(enc &^ (mem.PageBytes4K - 1)), mem.PageSize(enc&(mem.PageBytes4K-1)) - 1, true
+	return mem.VAddr(enc &^ 1), enc != 0
 }
 
 func (r *rmapTable) del(pa mem.PAddr) { r.idx.Set(uint64(pa)>>mem.PageShift4K, 0) }
@@ -304,7 +303,6 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr, write bool) error {
 					return err
 				}
 				v.setPresent(base, mem.Size2M, false)
-				as.rmap.set(pa, base, mem.Size2M)
 				as.THPMapped++
 				as.Faults++
 				return nil
@@ -322,7 +320,7 @@ func (as *AddressSpace) faultIn(v *VMA, va mem.VAddr, write bool) error {
 		return err
 	}
 	v.setPresent(base, mem.Size4K, false)
-	as.rmap.set(pa, base, mem.Size4K)
+	as.rmap.set(pa, base)
 	as.Faults++
 	return nil
 }
@@ -396,7 +394,8 @@ func (as *AddressSpace) UnmapPage(v *VMA, va mem.VAddr) error {
 // The first absent page of each 2 MiB region takes a full fault (node
 // placement, TEA hooks, THP choice); once that leaves a 4 KiB leaf, the
 // region's other absent pages up to the VMA end are filled in one pass over
-// its level-1 node, each allocated and recorded as its own fault would be.
+// its level-1 node, from one AllocFrames batch that hands out the frames
+// their faults would have taken, each page recorded as its fault would be.
 func (as *AddressSpace) Populate(v *VMA) error {
 	if as.indexOf(v) < 0 {
 		return ErrNoSuchVMA
@@ -408,6 +407,22 @@ func (as *AddressSpace) Populate(v *VMA) error {
 				return err
 			}
 		}
+	}
+	var buf []mem.PAddr
+	alloc := func(n int) ([]mem.PAddr, error) {
+		if buf == nil {
+			buf = make([]mem.PAddr, mem.EntriesPerNode)
+		}
+		got, err := as.Phys.AllocFrames(phys.KindMovable, buf[:n])
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		}
+		return buf[:got], err
+	}
+	mapped := func(page mem.VAddr, pa mem.PAddr) {
+		v.setPresent(page, mem.Size4K, false)
+		as.rmap.set(pa, page)
+		as.Faults++
 	}
 	for va := v.Start; va < v.End; {
 		if _, size, ok := as.PT.Lookup(va); ok {
@@ -422,16 +437,7 @@ func (as *AddressSpace) Populate(v *VMA) error {
 		if va += mem.PageBytes4K; va == end {
 			continue
 		}
-		filled, err := as.PT.FillRegion(va, end, mem.PTEWritable.WithAccessed(true), func(page mem.VAddr) (mem.PAddr, error) {
-			pa, err := as.Phys.AllocFrame(phys.KindMovable)
-			if err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrOutOfMemory, err)
-			}
-			v.setPresent(page, mem.Size4K, false)
-			as.rmap.set(pa, page, mem.Size4K)
-			as.Faults++
-			return pa, nil
-		})
+		filled, err := as.PT.FillRegion(va, end, mem.PTEWritable.WithAccessed(true), alloc, mapped)
 		if err != nil {
 			return err
 		}
@@ -470,28 +476,26 @@ func (as *AddressSpace) ForEachLeaf(fn func(va mem.VAddr, frame mem.PAddr, size 
 // Relocate implements phys.Relocator: when the buddy allocator migrates a
 // movable data frame, rewrite the PTE and shoot down the stale translation.
 func (as *AddressSpace) Relocate(old, new mem.PAddr) bool {
-	va, size, ok := as.rmap.get(old)
+	// Only base pages migrate frame-by-frame, and only base pages are in
+	// the rmap. The allocator offers an order-0 destination; remapping a
+	// 2 MiB leaf onto it would alias the 511 frames behind it whenever the
+	// destination happened to be 2 MiB aligned, and the eventual
+	// Free(dst, 9) would release frames owned by strangers. Huge pages must
+	// be split before their frames move.
+	va, ok := as.rmap.get(old)
 	if !ok {
 		return false
 	}
-	// Only base pages migrate frame-by-frame. The allocator offers an
-	// order-0 destination; remapping a 2 MiB leaf onto it would alias the
-	// 511 frames behind it whenever the destination happened to be 2 MiB
-	// aligned, and the eventual Free(dst, 9) would release frames owned
-	// by strangers. Huge pages must be split before their frames move.
-	if size != mem.Size4K {
+	if err := as.PT.Unmap(va, mem.Size4K); err != nil {
 		return false
 	}
-	if err := as.PT.Unmap(va, size); err != nil {
-		return false
-	}
-	if err := as.PT.Map(va, new, size, mem.PTEWritable); err != nil {
+	if err := as.PT.Map(va, new, mem.Size4K, mem.PTEWritable); err != nil {
 		// Restore the original mapping; migration is abandoned.
-		_ = as.PT.Map(va, old, size, mem.PTEWritable)
+		_ = as.PT.Map(va, old, mem.Size4K, mem.PTEWritable)
 		return false
 	}
 	as.rmap.del(old)
-	as.rmap.set(new, va, size)
+	as.rmap.set(new, va)
 	as.notifyInvalidate(va)
 	return true
 }
@@ -517,7 +521,6 @@ func (as *AddressSpace) SplitHugePage(v *VMA, va mem.VAddr) error {
 	if err := as.PT.Unmap(base, mem.Size2M); err != nil {
 		return err
 	}
-	as.rmap.del(frame)
 	v.clearPresent(base)
 	as.notifyInvalidate(base)
 	for off := mem.VAddr(0); off < mem.PageBytes2M; off += mem.PageBytes4K {
@@ -536,14 +539,13 @@ func (as *AddressSpace) SplitHugePage(v *VMA, va mem.VAddr) error {
 			}
 			if as.PT.Map(base, frame, mem.Size2M, mem.PTEWritable) == nil {
 				v.setPresent(base, mem.Size2M, false)
-				as.rmap.set(frame, base, mem.Size2M)
 			} else {
 				as.Phys.Free(frame, 9)
 			}
 			return err
 		}
 		v.setPresent(base+off, mem.Size4K, false)
-		as.rmap.set(pa, base+off, mem.Size4K)
+		as.rmap.set(pa, base+off)
 	}
 	return nil
 }
@@ -585,7 +587,6 @@ func (as *AddressSpace) PromoteTHP(v *VMA) int {
 			return promoted
 		}
 		v.setPresent(base, mem.Size2M, false)
-		as.rmap.set(pa, base, mem.Size2M)
 		as.THPMapped++
 		promoted++
 	}

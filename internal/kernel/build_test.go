@@ -173,10 +173,10 @@ func diffSpaces(a, b *AddressSpace, av, bv []*VMA) error {
 		if ka, kb := a.Phys.FrameKind(p), b.Phys.FrameKind(p); ka != kb {
 			return fmt.Errorf("frame %#x kind %v vs %v", p, ka, kb)
 		}
-		va, sa, oka := a.rmap.get(p)
-		vb, sb, okb := b.rmap.get(p)
-		if va != vb || sa != sb || oka != okb {
-			return fmt.Errorf("rmap[%#x] = %#x %v %v vs %#x %v %v", p, va, sa, oka, vb, sb, okb)
+		va, oka := a.rmap.get(p)
+		vb, okb := b.rmap.get(p)
+		if va != vb || oka != okb {
+			return fmt.Errorf("rmap[%#x] = %#x %v vs %#x %v", p, va, oka, vb, okb)
 		}
 	}
 	ta, tb := allocTrace(a.Phys), allocTrace(b.Phys)

@@ -176,6 +176,58 @@ func TestRelocateRefusesHugePages(t *testing.T) {
 	drainCheck(t, as, v, baseline)
 }
 
+// TestRelocateMigratesOnlyBasePages pins the rmap's contents: it records
+// base pages only, so Relocate refuses every frame of a THP, head included,
+// until SplitHugePage re-records the block as 512 base pages, each of which
+// then migrates on its own.
+func TestRelocateMigratesOnlyBasePages(t *testing.T) {
+	as := newAS(t, 4096, Config{THP: true})
+	baseline := as.Phys.FreeFrames()
+	const start = mem.VAddr(1 << 30)
+	v, err := as.MMap(start, 2<<20, VMAHeap, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Populate(v); err != nil {
+		t.Fatal(err)
+	}
+	head, size, ok := as.PT.Lookup(start)
+	if !ok || size != mem.Size2M {
+		t.Fatalf("precondition: no huge page (ok=%v size=%v)", ok, size)
+	}
+	dst, err := as.Phys.AllocFrame(phys.KindMovable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []mem.PAddr{head, head + mem.PageBytes4K, head + mem.PageBytes2M - mem.PageBytes4K} {
+		if as.Relocate(f, dst) {
+			t.Fatalf("Relocate accepted frame %#x of an unsplit huge page", uint64(f))
+		}
+	}
+	as.Phys.FreeFrame(dst)
+	if err := as.SplitHugePage(v, start); err != nil {
+		t.Fatal(err)
+	}
+	for off := mem.VAddr(0); off < mem.PageBytes2M; off += mem.PageBytes4K {
+		old := head + mem.PAddr(uint64(off))
+		dst, err := as.Phys.AllocFrame(phys.KindMovable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !as.Relocate(old, dst) {
+			t.Fatalf("Relocate refused base frame %#x after the split", uint64(old))
+		}
+		if pa, size, ok := as.PT.Lookup(start + off); !ok || size != mem.Size4K || pa != dst {
+			t.Fatalf("page %#x maps %#x (%v, %v) after migration, want %#x", uint64(start+off), uint64(pa), size, ok, uint64(dst))
+		}
+		if as.Relocate(old, dst) {
+			t.Fatalf("Relocate accepted the vacated frame %#x", uint64(old))
+		}
+		as.Phys.FreeFrame(old)
+	}
+	drainCheck(t, as, v, baseline)
+}
+
 // TestPromoteTHPSkipsResidentPages pins the PromoteTHP guard: collapsing
 // a region containing a caller-owned resident page (a mapped gTEA window
 // slot) would replace the foreign mapping with an anonymous huge page.

@@ -146,23 +146,29 @@ func (m *refTable) Map(va mem.VAddr, pa mem.PAddr, size mem.PageSize, flags mem.
 }
 
 // FillRegion maps the absent pages of [va, end), clamped to va's 2 MiB
-// region, when the region has a level-1 node.
-func (m *refTable) FillRegion(va, end mem.VAddr, flags mem.PTE, next func(mem.VAddr) (mem.PAddr, error)) (bool, error) {
+// region, when the region has a level-1 node: it lists the absent pages,
+// asks alloc once for that many frames (not at all for none) and maps the
+// pages the frames it got cover, in order.
+func (m *refTable) FillRegion(va, end mem.VAddr, flags mem.PTE, alloc func(int) ([]mem.PAddr, error), mapped func(mem.VAddr, mem.PAddr)) (bool, error) {
 	if _, ok := m.nodes[nodeOf(1, va)]; !ok {
 		return false, nil
 	}
 	end = min(end, mem.AlignDown(va, mem.PageBytes2M)+mem.PageBytes2M)
+	var absent []mem.VAddr
 	for page := va; page < end; page += mem.PageBytes4K {
-		if _, ok := m.leafAt(1, page); ok {
-			continue
+		if _, ok := m.leafAt(1, page); !ok {
+			absent = append(absent, page)
 		}
-		pa, err := next(page)
-		if err != nil {
-			return true, err
-		}
-		m.leaves[page] = refLeaf{mem.Size4K, mem.MakePTE(pa, flags)}
 	}
-	return true, nil
+	if len(absent) == 0 {
+		return true, nil
+	}
+	frames, err := alloc(len(absent))
+	for i, pa := range frames {
+		m.leaves[absent[i]] = refLeaf{mem.Size4K, mem.MakePTE(pa, flags)}
+		mapped(absent[i], pa)
+	}
+	return true, err
 }
 
 // live counts the entries of the node k: leaves and child nodes inside it.
@@ -397,24 +403,45 @@ func runTableModel(t *testing.T, data []byte) {
 			}
 			end := va + mem.VAddr(arg%16)*mem.PageBytes4K
 			flags := mem.PTE(arg&1) * mem.PTEWritable
-			failAt := 1 + int(arg>>6)*4
+			short := int(arg>>6) * 4 // 0: a full batch; else at most short-1 frames
 			op = fmt.Sprintf("FillRegion(%#x, %#x)", uint64(va), uint64(end))
-			// next fails at call failAt; both sides must ask for the same
-			// pages.
-			next := func(calls *[]mem.VAddr) func(mem.VAddr) (mem.PAddr, error) {
-				return func(page mem.VAddr) (mem.PAddr, error) {
-					*calls = append(*calls, page)
-					if len(*calls) == failAt {
-						return 0, errAllocFail
-					}
-					return mem.PAddr(uint64(page)>>12+1) << 30, nil
-				}
+			// alloc hands out frames unique to this op and, when short
+			// is set and the request reaches it, stops one frame before
+			// it with an error. Both sides must make the same requests
+			// and report the same writes.
+			type fillLog struct {
+				asked  []int
+				mapped []mem.VAddr
 			}
-			var gotCalls, wantCalls []mem.VAddr
-			gotOK, gotErr := s.tbl.FillRegion(va, end, flags, next(&gotCalls))
-			wantOK, wantErr := s.ref.FillRegion(va, end, flags, next(&wantCalls))
-			if gotOK != wantOK || errClass(gotErr) != errClass(wantErr) || !slices.Equal(gotCalls, wantCalls) {
-				t.Fatalf("%s = %v, %v after %d calls; model %v, %v after %d", op, gotOK, gotErr, len(gotCalls), wantOK, wantErr, len(wantCalls))
+			fill := func(log *fillLog) (func(int) ([]mem.PAddr, error), func(mem.VAddr, mem.PAddr)) {
+				alloc := func(n int) ([]mem.PAddr, error) {
+					log.asked = append(log.asked, n)
+					var err error
+					if short > 0 && n >= short {
+						n, err = short-1, errAllocFail
+					}
+					frames := make([]mem.PAddr, n)
+					for j := range frames {
+						frames[j] = mem.PAddr(uint64(i)<<9|uint64(j)+1) << mem.PageShift4K
+					}
+					return frames, err
+				}
+				mapped := func(page mem.VAddr, pa mem.PAddr) {
+					if pa != mem.PAddr(uint64(i)<<9|uint64(len(log.mapped))+1)<<mem.PageShift4K {
+						t.Fatalf("op %d: page %#x written with frame %#x out of order", i/3, uint64(page), uint64(pa))
+					}
+					log.mapped = append(log.mapped, page)
+				}
+				return alloc, mapped
+			}
+			var got, want fillLog
+			gotAlloc, gotMapped := fill(&got)
+			wantAlloc, wantMapped := fill(&want)
+			gotOK, gotErr := s.tbl.FillRegion(va, end, flags, gotAlloc, gotMapped)
+			wantOK, wantErr := s.ref.FillRegion(va, end, flags, wantAlloc, wantMapped)
+			if gotOK != wantOK || errClass(gotErr) != errClass(wantErr) || !slices.Equal(got.asked, want.asked) || !slices.Equal(got.mapped, want.mapped) {
+				t.Fatalf("%s = %v, %v after requests %v writing %v; model %v, %v after %v writing %v",
+					op, gotOK, gotErr, got.asked, got.mapped, wantOK, wantErr, want.asked, want.mapped)
 			}
 		case 10: // arm a node-allocation failure, or (high bit) clone
 			if arg&0x80 != 0 && len(sides) < 3 {

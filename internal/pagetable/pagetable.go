@@ -424,16 +424,19 @@ func (t *Table) RegionEmpty(va mem.VAddr) bool {
 	return node.live == 0
 }
 
-// FillRegion maps 4 KiB leaves over [va, end), clamped to va's 2 MiB
-// region, in one pass over the region's level-1 node: each page whose entry
-// is absent gets the 4 KiB-aligned frame next returns for it, and present
-// entries are skipped without a call.
+// FillRegion maps 4 KiB leaves over the absent pages of [va, end), clamped
+// to va's 2 MiB region, in one pass over the region's level-1 node. It asks
+// alloc once for exactly as many 4 KiB-aligned frames as there are absent
+// entries (not at all when there are none), writes them to those pages in
+// ascending order and reports each write to mapped. When alloc returns
+// fewer frames with an error, the pages it covered are written and the
+// error is returned; present entries are never touched.
 // Every write is the one Map would make: the node is linked, so Map would
-// place no node, and no huge leaf can cover the region. It writes nothing
-// and reports false when no level-1 node is linked under the region (the
-// range is unmapped or a huge leaf covers it); the caller then maps through
-// Map, which places nodes. An error from next stops the fill.
-func (t *Table) FillRegion(va, end mem.VAddr, flags mem.PTE, next func(page mem.VAddr) (mem.PAddr, error)) (bool, error) {
+// place no node, and no huge leaf can cover the region. It calls nothing,
+// writes nothing and reports false when no level-1 node is linked under the
+// region (the range is unmapped or a huge leaf covers it); the caller then
+// maps through Map, which places nodes.
+func (t *Table) FillRegion(va, end mem.VAddr, flags mem.PTE, alloc func(n int) ([]mem.PAddr, error), mapped func(page mem.VAddr, pa mem.PAddr)) (bool, error) {
 	node, level := t.descentStart(va, 1)
 	for ; level > 1; level-- {
 		idx := mem.Index(va, level)
@@ -447,20 +450,32 @@ func (t *Table) FillRegion(va, end mem.VAddr, flags mem.PTE, next func(page mem.
 		node = t.pool.node(child)
 	}
 	end = min(end, regionOf(va)+mem.PageBytes2M)
-	for page := va; page < end; page += mem.PageBytes4K {
-		idx := mem.Index(page, 1)
-		if node.entries[idx].Present() {
-			continue
-		}
-		pa, err := next(page)
-		if err != nil {
-			return true, err
-		}
-		node.entries[idx] = mem.MakePTE(pa, flags)
-		node.live++
-		t.Mapped[mem.Size4K]++
+	lo, hi := mem.Index(va, 1), mem.Index(va, 1)
+	if end > va {
+		hi += int((end - va + mem.PageBytes4K - 1) >> mem.PageShift4K)
 	}
-	return true, nil
+	absent := 0
+	for _, pte := range node.entries[lo:hi] {
+		if !pte.Present() {
+			absent++
+		}
+	}
+	if absent == 0 {
+		return true, nil
+	}
+	frames, err := alloc(absent)
+	page := va
+	for idx := lo; idx < hi && len(frames) > 0; idx++ {
+		if !node.entries[idx].Present() {
+			node.entries[idx] = mem.MakePTE(frames[0], flags)
+			node.live++
+			t.Mapped[mem.Size4K]++
+			mapped(page, frames[0])
+			frames = frames[1:]
+		}
+		page += mem.PageBytes4K
+	}
+	return true, err
 }
 
 // SetAccessed sets the A (and optionally D) bit on the leaf PTE mapping va,

@@ -73,9 +73,8 @@ type Allocator struct {
 	// blockOrder[f] is the order of the free block headed at frame f,
 	// or -1 when f is allocated or interior to a free block.
 	blockOrder []int8
-	// free[f] reports whether frame f belongs to any free block.
-	free []bool
-	// kind[f] records the owner class of an allocated frame.
+	// kind[f] records the owner class of frame f: KindFree exactly when f
+	// belongs to a free block, listed or detached by carveFrame.
 	kind []Kind
 
 	// freeStacks holds candidate free-block heads per order with lazy
@@ -116,12 +115,10 @@ func New(base mem.PAddr, frames int) *Allocator {
 		base:       base,
 		frames:     uint32(frames),
 		blockOrder: make([]int8, frames),
-		free:       make([]bool, frames),
-		kind:       make([]Kind, frames),
+		kind:       make([]Kind, frames), // all KindFree, the zero Kind
 	}
 	for i := range a.blockOrder {
 		a.blockOrder[i] = -1
-		a.free[i] = true // kind[i] is already KindFree, the zero Kind
 	}
 	// Seed free lists with maximal aligned blocks.
 	f := uint32(0)
@@ -152,11 +149,7 @@ func (a *Allocator) FreeFrames() int { return int(a.freeFrames) }
 
 // FrameKind returns the owner class of the frame containing pa.
 func (a *Allocator) FrameKind(pa mem.PAddr) Kind {
-	f := a.frameOf(pa)
-	if a.free[f] {
-		return KindFree
-	}
-	return a.kind[f]
+	return a.kind[a.frameOf(pa)]
 }
 
 func (a *Allocator) frameOf(pa mem.PAddr) uint32 {
@@ -175,8 +168,8 @@ func (a *Allocator) addrOf(f uint32) mem.PAddr {
 }
 
 // pushFree lists the block of 2^order frames headed at f as free. It does
-// not mark the frames: every frame of the block must already be free and
-// KindFree. That holds for both halves of a split free block (Alloc,
+// not mark the frames: every frame of the block must already be KindFree.
+// That holds for both halves of a split free block (Alloc, AllocFrames,
 // carveFrame), and freeBlock marks only the frames it frees before
 // coalescing them with buddies that are already marked — so a split or a
 // coalesce costs O(order), not O(2^order) stores.
@@ -236,6 +229,19 @@ func (a *Allocator) popFree(order int) (uint32, bool) {
 	return 0, false
 }
 
+// popAtLeast removes and returns the head and order of the smallest listed
+// free block of at least the given order, draining the stale entries of
+// every stack it passes; ok is false when no such block exists, and then
+// every stack from order up has been drained.
+func (a *Allocator) popAtLeast(order int) (f uint32, o int, ok bool) {
+	for o = order; o <= MaxOrder; o++ {
+		if f, ok = a.popFree(o); ok {
+			return f, o, true
+		}
+	}
+	return 0, 0, false
+}
+
 // Alloc allocates a 2^order-frame block and returns its physical address.
 func (a *Allocator) Alloc(order int, kind Kind) (mem.PAddr, error) {
 	if order < 0 || order > MaxOrder {
@@ -244,22 +250,19 @@ func (a *Allocator) Alloc(order int, kind Kind) (mem.PAddr, error) {
 	if kind == KindFree {
 		return 0, errors.New("phys: cannot allocate KindFree")
 	}
-	for o := order; o <= MaxOrder; o++ {
-		f, ok := a.popFree(o)
-		if !ok {
-			continue
-		}
-		// Split down to the requested order, freeing upper halves.
-		for cur := o; cur > order; cur-- {
-			half := uint32(1) << (cur - 1)
-			a.pushFree(f+half, cur-1)
-			a.Stats.Splits++
-		}
-		a.claim(f, uint32(1)<<order, kind)
-		a.Stats.Allocs++
-		return a.addrOf(f), nil
+	f, o, ok := a.popAtLeast(order)
+	if !ok {
+		return 0, ErrNoMemory
 	}
-	return 0, ErrNoMemory
+	// Split down to the requested order, freeing upper halves.
+	for cur := o; cur > order; cur-- {
+		half := uint32(1) << (cur - 1)
+		a.pushFree(f+half, cur-1)
+		a.Stats.Splits++
+	}
+	a.claim(f, uint32(1)<<order, kind)
+	a.Stats.Allocs++
+	return a.addrOf(f), nil
 }
 
 // AllocFrame allocates a single 4 KiB frame.
@@ -267,10 +270,58 @@ func (a *Allocator) AllocFrame(kind Kind) (mem.PAddr, error) {
 	return a.Alloc(0, kind)
 }
 
+// AllocFrames fills out with single 4 KiB frames and returns how many it
+// allocated: len(out), or fewer with ErrNoMemory. It leaves exactly the
+// state that len(out) successive AllocFrame calls leave — the same frames
+// in the same order, the same Stats, block map and free stacks — and stops
+// where the first of them would fail.
+//
+// It does in one step what those calls do frame by frame. Popping a block
+// of order o drains every stack below o, so the calls after it carve the
+// block in ascending frame order: each pops the lowest free half that the
+// previous split pushed, and no stack below o holds anything else. After t
+// frames the rest of the block is one free block for each zero bit k < o of
+// t-1, at offset ((t-1)>>k|1)<<k, alone on its stack; the carve made
+// t+r-1 splits for r such blocks (every split adds a block, every claim
+// takes one, and one block remains per rest block). A block costs O(o)
+// stack work, not a pop, push and scan per frame.
+func (a *Allocator) AllocFrames(kind Kind, out []mem.PAddr) (int, error) {
+	if len(out) == 0 {
+		return 0, nil
+	}
+	if kind == KindFree {
+		return 0, errors.New("phys: cannot allocate KindFree")
+	}
+	n := 0
+	for n < len(out) {
+		f, o, ok := a.popAtLeast(0)
+		if !ok {
+			return n, ErrNoMemory
+		}
+		t := uint32(min(len(out)-n, 1<<o))
+		for k := o - 1; k >= 0; k-- {
+			if (t-1)>>k&1 == 0 {
+				a.pushFree(f+((t-1)>>k|1)<<k, k)
+				a.Stats.Splits++
+			}
+		}
+		a.Stats.Splits += uint64(t) - 1
+		a.Stats.Allocs += uint64(t)
+		a.claim(f, t, kind)
+		for i := range t {
+			out[n] = a.addrOf(f + i)
+			n++
+		}
+	}
+	return n, nil
+}
+
+// claim marks the n free frames from f allocated to kind. f heads a free
+// block or a detached frame; the frames after it are interior to that
+// block, so their blockOrder is already -1.
 func (a *Allocator) claim(f, n uint32, kind Kind) {
 	a.blockOrder[f] = -1
 	for i := f; i < f+n; i++ {
-		a.free[i] = false
 		a.kind[i] = kind
 	}
 	a.freeFrames -= n
@@ -284,7 +335,7 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 		panic("phys: Free of unaligned block")
 	}
 	for i := f; i < f+n; i++ {
-		if a.free[i] {
+		if a.kind[i] == KindFree {
 			panic(fmt.Sprintf("phys: double free of frame %d", i))
 		}
 	}
@@ -297,7 +348,6 @@ func (a *Allocator) Free(pa mem.PAddr, order int) {
 // it with its buddy while possible.
 func (a *Allocator) freeBlock(f uint32, order int) {
 	for i := f; i < f+1<<order; i++ {
-		a.free[i] = true
 		a.kind[i] = KindFree
 	}
 	for order < MaxOrder {

@@ -277,7 +277,7 @@ func TestFreeStackStaysBounded(t *testing.T) {
 // TestListedFreeBlocksStayMarked pins the invariant the split paths rely
 // on: Alloc and carveFrame list split halves with pushFree, which does not
 // mark frames, so every frame of every listed free block must already be
-// free and KindFree. After every Alloc (all orders), AllocContig (buddy,
+// KindFree. After every Alloc (all orders), AllocContig (buddy,
 // window and migrating paths), ExpandContigInPlace, Compact and free, both
 // Audit and a direct scan of the live free-stack entries must agree.
 func TestListedFreeBlocksStayMarked(t *testing.T) {
@@ -338,9 +338,9 @@ func TestListedFreeBlocksStayMarked(t *testing.T) {
 						continue // lazily deleted entry
 					}
 					for i := f; i < f+1<<order; i++ {
-						if !a.free[i] || a.kind[i] != KindFree {
-							t.Fatalf("seed %d step %d: listed order-%d block at %d has frame %d free=%v kind=%v",
-								seed, step, order, f, i, a.free[i], a.kind[i])
+						if a.kind[i] != KindFree {
+							t.Fatalf("seed %d step %d: listed order-%d block at %d has frame %d kind=%v",
+								seed, step, order, f, i, a.kind[i])
 						}
 					}
 				}
